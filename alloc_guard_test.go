@@ -136,3 +136,39 @@ func TestEngineAllocGuard(t *testing.T) {
 			perOp, baseline, limit)
 	}
 }
+
+// TestMemoryPathAllocGuard holds the memory path to its per-line budget:
+// a cold point of a memory-bound kind (boot, install, run, release, as a
+// sweep's cold path does it) may allocate for setup, but nothing per
+// line access, per bank request, per RAM page or per interpreter step.
+// Each shape below moves over a thousand lines through XDR, so a single
+// allocation per access (a closure, a freshly made page) blows through
+// the limit at once.
+func TestMemoryPathAllocGuard(t *testing.T) {
+	const limit = 3000
+	shapes := []cell.Scenario{
+		{Kind: "mem", SPEs: 8, Chunk: 4096, Volume: 32 << 10, Op: "copy"},
+		{Kind: "gups", SPEs: 8, Chunk: 64, Volume: 32 << 10, Op: "both"},
+		{Kind: "stream", SPEs: 8, Chunk: 4096, Volume: 32 << 10, Op: "triad"},
+	}
+	for _, sc := range shapes {
+		point := func() {
+			sys := cell.New(cell.DefaultConfig())
+			defer sys.Release()
+			sys.SetPerf(&perfctr.Counters{})
+			if _, err := sc.Install(sys); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.RunChecked(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		point() // fill the buffer pools
+		perOp := testing.AllocsPerRun(3, point)
+		t.Logf("cold %s/%s point: %.0f allocs", sc.Kind, sc.Op, perOp)
+		if perOp > limit {
+			t.Errorf("cold %s/%s point allocates %.0f times, limit %d: the memory path allocates per access",
+				sc.Kind, sc.Op, perOp, limit)
+		}
+	}
+}

@@ -122,7 +122,9 @@ type System struct {
 	tracer    *trace.Tracer
 	perf      *perfctr.Counters
 	pktFree   *pktDone // free list of packet completion records (engine is single-threaded)
+	memFree   *memDone // free list of coherence-point completion records
 	streams   []*dmaStream
+	lanes     []*patternLane
 	ff        *ffController // nil unless EnableFastForward was called
 
 	// fabs holds each logical SPE's routing fabric so a recycled system
@@ -213,6 +215,8 @@ func (s *System) init(cfg Config) {
 	s.tracer, s.perf = nil, nil
 	clear(s.streams)
 	s.streams = s.streams[:0]
+	clear(s.lanes)
+	s.lanes = s.lanes[:0]
 	s.ff = nil
 	s.scen = Scenario{}
 
@@ -238,6 +242,25 @@ func (s *System) init(cfg Config) {
 		s.PPE.Reset(&ppePort{sys: s}, cfg.PPE)
 	}
 	eng.OnDiagnostic(s.diagnose)
+	eng.OnLiveness(s.liveness)
+}
+
+// liveness reports the state-machine kernels (streams and pattern lanes)
+// that have not finished, each with its park-site note: the process
+// registry cannot see them, so this is how the watchdog does.
+func (s *System) liveness() []string {
+	var stuck []string
+	for _, st := range s.streams {
+		if st.op != streamOpDone {
+			stuck = append(stuck, fmt.Sprintf("spe%d (%s)", st.idx, st.note))
+		}
+	}
+	for _, l := range s.lanes {
+		if !l.finished {
+			stuck = append(stuck, fmt.Sprintf("spe%d (%s)", l.idx, l.note))
+		}
+	}
+	return stuck
 }
 
 // Faults returns the system's fault injector (nil when injection is
@@ -517,15 +540,16 @@ func (s *System) SignalEA(logical, reg int) int64 {
 	return s.cfg.LSBase + int64(logical)*s.cfg.LSSpan + spe.SNROffset + int64(4*reg)
 }
 
-// Release returns the system's recyclable buffers (the SPE local stores)
-// to their allocation pools. The caller promises the system is dead: no
-// further Run, scenario or inspection call may follow. Batch drivers that
-// build one System per point (sweeps) call this to keep GC pressure flat;
-// everyone else can simply drop the System.
+// Release returns the system's recyclable buffers (the SPE local stores
+// and the RAM pages) to their allocation pools. The caller promises the
+// system is dead: no further Run, scenario or inspection call may follow.
+// Batch drivers that build one System per point (sweeps) call this to
+// keep GC pressure flat; everyone else can simply drop the System.
 func (s *System) Release() {
 	for _, sp := range s.SPEs {
 		sp.Release()
 	}
+	s.Mem.RAM().Reset()
 }
 
 // fabric routes one SPE's DMA line requests: to main memory via the
@@ -602,7 +626,7 @@ func (f *fabric) ReadEA(ea int64, n int, earliest sim.Time, dst []byte, done sim
 		sys.Bus.TransferCB(target.Ramp(), f.ramp, n, ready, p)
 		return
 	}
-	sys.Mem.Read(f.ramp, ea, n, earliest, dst, done.Call)
+	sys.Mem.Read(f.ramp, ea, n, earliest, dst, done)
 }
 
 func (f *fabric) WriteEA(ea int64, n int, earliest sim.Time, src []byte, done sim.Callee) {
@@ -620,22 +644,17 @@ func (f *fabric) WriteEA(ea int64, n int, earliest sim.Time, src []byte, done si
 		return
 	}
 	// Any store to a line kills reservations on it (coherence point).
-	sys.Mem.Write(f.ramp, ea, n, earliest, src, func(end sim.Time) {
-		sys.resv.kill(lineOf(ea))
-		done.Call(end)
-	})
+	sys.Mem.Write(f.ramp, ea, n, earliest, src, sys.getMemDone(doneStore, ea, done))
 }
 
 // ppePort is the PPE's line-fill path over the EIB to main memory.
 type ppePort struct{ sys *System }
 
 func (p *ppePort) ReadLine(addr int64, earliest sim.Time, done func(end sim.Time)) {
-	p.sys.Mem.Read(eib.RampPPE, addr, xdr.LineBytes, earliest, nil, done)
+	p.sys.Mem.Read(eib.RampPPE, addr, xdr.LineBytes, earliest, nil, sim.CalleeFunc(done))
 }
 
 func (p *ppePort) WriteLine(addr int64, earliest sim.Time, done func(end sim.Time)) {
-	p.sys.Mem.Write(eib.RampPPE, addr, xdr.LineBytes, earliest, nil, func(end sim.Time) {
-		p.sys.resv.kill(lineOf(addr))
-		done(end)
-	})
+	d := p.sys.getMemDone(doneStore, addr, sim.CalleeFunc(done))
+	p.sys.Mem.Write(eib.RampPPE, addr, xdr.LineBytes, earliest, nil, d)
 }

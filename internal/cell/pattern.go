@@ -8,8 +8,7 @@ package cell
 // byte volumes — interpreted by a single generic kernel. The named
 // workload kinds (gups, qcd, md, stream) are presets that build a Pattern
 // from the Scenario knobs; they add no kernel code of their own. The
-// interpreter's Access switch in patternKernel is the only place phase
-// semantics live.
+// interpreter lane's next method is the only place phase semantics live.
 //
 // Workload lineage:
 //   - gups:   random-access (RandomAccess/GUPS) gathers and scatters over
@@ -470,16 +469,15 @@ func patternSeed(sc Scenario, lane int) int64 {
 }
 
 // installPattern wires the resolved phase program onto sys: one region
-// allocation (shared or per lane) and one interpreter coroutine per
-// active SPE, accounted through the same spawn helper as the canonical
-// kinds.
-func (sc Scenario) installPattern(sys *System, spawn func(idx int, bytes int64, kernel func(ctx *spe.Context))) error {
+// allocation (shared or per lane) and one interpreter lane per active
+// SPE. It returns the payload bytes the lanes account for.
+func (sc Scenario) installPattern(sys *System) (int64, error) {
 	pat := sc.pattern()
 	var shared int64
 	var err error
 	if pat.hasMem() && pat.Shared {
 		if shared, err = sys.TryAlloc(pat.Region, 1<<16); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	per := pat.LaneBytes()
@@ -487,21 +485,112 @@ func (sc Scenario) installPattern(sys *System, spawn func(idx int, bytes int64, 
 		base := shared
 		if pat.hasMem() && !pat.Shared {
 			if base, err = sys.TryAlloc(pat.Region, 1<<16); err != nil {
-				return err
+				return 0, err
 			}
 		}
-		spawn(lane, per, patternKernel(sys, sc, pat, lane, base))
+		sys.installLane(newPatternLane(sys, sc, pat, lane, base))
 	}
-	return nil
+	return per * int64(sc.SPEs), nil
 }
 
-// patternKernel returns the generic interpreter coroutine for one lane.
-// The Access switch below is the pattern interpreter — the one place
-// phase semantics are executed; workloads above it are pure data.
-func patternKernel(sys *System, sc Scenario, pat Pattern, lane int, base int64) func(ctx *spe.Context) {
-	chunk := sc.Chunk
-	slots := pairSlots(chunk)
-	var leftEA, rightEA int64
+// patternLane is the generic interpreter for one lane, run as an
+// event-driven state machine the way dmaStream runs the pair kernel. Its
+// program is the phase loop
+//
+//	for rep := 0; rep < reps; rep++ {
+//		for each phase {
+//			compute: wait Cycles
+//			ring:    per chunk, Get from the left neighbour (tag 0) and
+//			         Put to the right neighbour (tag 1)
+//			memory:  per chunk, pick a slot (seq, stride or rand) and
+//			         Get (tag 0) and/or Put (tag 1) it
+//			unless Async, wait for the tags the lane has in flight
+//		}
+//	}
+//	wait for whatever is still in flight
+//
+// and next is the one place phase semantics live; workloads above it are
+// pure data. Every DMA command is issued as spe.Context would issue it —
+// channel cycles, then the queue offer, retried on a space notification
+// — and every wait schedules the same engine event at the same point, so
+// the event sequence is the one a coroutine running this loop produces.
+type patternLane struct {
+	sys *System
+	idx int // logical SPE
+	eng *sim.Engine
+	spe *spe.SPE
+	dma *mfc.MFC
+
+	// The program: the phase list and the lane's addressing.
+	phases          []Phase
+	reps            int
+	chunk, slots    int
+	base, nSlots    int64
+	leftEA, rightEA int64
+	seed            int64
+
+	// Program position: rep and phase, bytes issued in the phase, and
+	// whether the current element's Get half has been issued.
+	rep, ph  int
+	n        int64
+	putHalf  bool
+	ea       int64 // current memory element's address
+	rng      *rand.Rand
+	cursors  [maxPatternPhases]int64
+	gslot    int
+	pslot    int
+	pending  uint32 // tag groups with commands in flight
+	mask     uint32 // tag groups the current tag wait drains
+	cmd      mfc.Cmd
+	pc       int
+	note     string
+	finished bool
+
+	cont laneCont
+	wake laneWake
+}
+
+// Lane continuation points (patternLane.pc).
+const (
+	laneNext     = iota // resume the program
+	laneEnqueue         // issue cost paid: offer cmd to the queue
+	laneTagCheck        // status-read cost paid: poll the tag groups
+)
+
+// laneCont is the lane's timer/continuation event target, and laneWake
+// its reusable one-shot subscription record: the counterparts of
+// dmaStreamCont and dmaStreamWake (see there for why they are distinct).
+type laneCont struct{ l *patternLane }
+
+// Call resumes the lane at its continuation point.
+func (c *laneCont) Call(sim.Time) { c.l.step() }
+
+type laneWake struct {
+	l     *patternLane
+	armed bool
+}
+
+// Call forwards a queue-space or tag-group notification to the lane's
+// continuation as a fresh event.
+func (w *laneWake) Call(sim.Time) {
+	if !w.armed {
+		panic("cell: pattern lane wake fired while unarmed")
+	}
+	w.armed = false
+	w.l.eng.PostCallee(&w.l.cont, w.l.eng.Now())
+}
+
+func newPatternLane(sys *System, sc Scenario, pat Pattern, lane int, base int64) *patternLane {
+	l := &patternLane{
+		sys:    sys,
+		idx:    lane,
+		phases: pat.Phases,
+		reps:   pat.reps(),
+		chunk:  sc.Chunk,
+		slots:  pairSlots(sc.Chunk),
+		base:   base,
+		seed:   patternSeed(sc, lane),
+	}
 	if pat.hasRing() {
 		step := pat.ringStep()
 		left := ((lane-step)%sc.SPEs + sc.SPEs) % sc.SPEs
@@ -509,74 +598,191 @@ func patternKernel(sys *System, sc Scenario, pat Pattern, lane int, base int64) 
 		// Pull the halo from the left neighbour's receive aperture; push
 		// ours into the right neighbour's send aperture. Slots cycle, so
 		// every address stays inside the 256 KB local store.
-		leftEA = sys.LSEA(left, pairGetBase)
-		rightEA = sys.LSEA(right, pairPutBase)
+		l.leftEA = sys.LSEA(left, pairGetBase)
+		l.rightEA = sys.LSEA(right, pairPutBase)
 	}
-	var nSlots int64
 	if pat.Region > 0 {
-		nSlots = pat.Region / int64(chunk)
+		l.nSlots = pat.Region / int64(sc.Chunk)
 	}
-	seed := patternSeed(sc, lane)
-	reps := pat.reps()
-	return func(ctx *spe.Context) {
-		var rng *rand.Rand
-		cursors := make([]int64, len(pat.Phases))
-		gslot, pslot := 0, 0
-		var pending uint32
-		for rep := 0; rep < reps; rep++ {
-			for i, ph := range pat.Phases {
-				switch ph.Access {
-				case "compute":
-					ctx.Wait(sim.Time(ph.Cycles))
-				case "ring":
-					for n := int64(0); n < ph.Bytes; n += int64(chunk) {
-						gs := gslot % slots
-						gslot++
-						ps := pslot % slots
-						pslot++
-						ctx.Get(pairGetBase+gs*chunk, leftEA+int64(gs*chunk), chunk, 0)
-						ctx.Put(pairPutBase+ps*chunk, rightEA+int64(ps*chunk), chunk, 1)
-					}
-					pending |= 1<<0 | 1<<1
-				default: // seq, stride, rand over [base, base+Region)
-					for n := int64(0); n < ph.Bytes; n += int64(chunk) {
-						var slot int64
-						switch ph.Access {
-						case "rand":
-							if rng == nil {
-								rng = rand.New(rand.NewSource(seed))
-							}
-							slot = rng.Int63n(nSlots)
-						case "stride":
-							slot = cursors[i] % nSlots
-							cursors[i] += ph.Stride / int64(chunk)
-						default: // seq
-							slot = cursors[i] % nSlots
-							cursors[i]++
-						}
-						ea := base + slot*int64(chunk)
-						if ph.Op != "put" {
-							gs := gslot % slots
-							gslot++
-							ctx.Get(pairGetBase+gs*chunk, ea, chunk, 0)
-							pending |= 1 << 0
-						}
-						if ph.Op != "get" {
-							ps := pslot % slots
-							pslot++
-							ctx.Put(pairPutBase+ps*chunk, ea, chunk, 1)
-							pending |= 1 << 1
-						}
+	return l
+}
+
+// installLane registers the lane and schedules its first activation, the
+// same immediate event a spawned coroutine's start produced.
+func (sys *System) installLane(l *patternLane) {
+	l.eng = sys.Eng
+	l.spe = sys.SPEs[l.idx]
+	l.dma = l.spe.MFC()
+	l.cont.l = l
+	l.wake.l = l
+	sys.lanes = append(sys.lanes, l)
+	sys.Eng.PostCallee(&l.cont, sys.Eng.Now())
+}
+
+// step advances the lane from its continuation point until it blocks on
+// simulated time (a scheduled cont event), on a queue-space or tag-group
+// subscription (an armed wake), or finishes.
+func (l *patternLane) step() {
+	for !l.finished {
+		switch l.pc {
+		case laneNext:
+			if l.next() {
+				return
+			}
+		case laneEnqueue:
+			if !l.offer() {
+				return
+			}
+			l.pc = laneNext
+		case laneTagCheck:
+			l.pc = laneNext
+			if l.dma.TagsComplete(l.mask) {
+				continue
+			}
+			l.note = noteTagWait
+			l.wake.armed = true
+			l.dma.WaitTagsCB(l.mask, &l.wake)
+			return
+		}
+	}
+}
+
+// next runs the program from its position to its next blocking action
+// and reports whether the lane blocked (false: continue at l.pc).
+func (l *patternLane) next() bool {
+	chunk := int64(l.chunk)
+	for l.rep < l.reps {
+		ph := &l.phases[l.ph]
+		switch ph.Access {
+		case "compute":
+			if l.n == 0 {
+				l.n = 1 // the phase's one action
+				if l.delay(sim.Time(ph.Cycles), laneNext) {
+					return true
+				}
+				continue
+			}
+		case "ring":
+			if l.n < ph.Bytes {
+				if !l.putHalf {
+					l.putHalf = true
+					gs := l.gslot % l.slots
+					l.gslot++
+					return l.issue(mfc.Get, 0, pairGetBase+gs*l.chunk, l.leftEA+int64(gs*l.chunk))
+				}
+				l.putHalf = false
+				l.n += chunk
+				ps := l.pslot % l.slots
+				l.pslot++
+				l.pending |= 1<<0 | 1<<1
+				return l.issue(mfc.Put, 1, pairPutBase+ps*l.chunk, l.rightEA+int64(ps*l.chunk))
+			}
+		default: // seq, stride, rand over [base, base+Region)
+			if l.n < ph.Bytes {
+				if !l.putHalf {
+					l.putHalf = true
+					l.ea = l.base + l.slot(ph)*chunk
+					if ph.Op != "put" {
+						gs := l.gslot % l.slots
+						l.gslot++
+						l.pending |= 1 << 0
+						return l.issue(mfc.Get, 0, pairGetBase+gs*l.chunk, l.ea)
 					}
 				}
-				if !ph.Async && pending != 0 {
-					ctx.WaitTagMask(pending)
-					pending = 0
+				l.putHalf = false
+				l.n += chunk
+				if ph.Op != "get" {
+					ps := l.pslot % l.slots
+					l.pslot++
+					l.pending |= 1 << 1
+					return l.issue(mfc.Put, 1, pairPutBase+ps*l.chunk, l.ea)
 				}
+				continue
 			}
 		}
-		if pending != 0 {
-			ctx.WaitTagMask(pending)
+		// Phase boundary: move on, fencing the tags in flight unless the
+		// phase is asynchronous.
+		l.n = 0
+		if l.ph++; l.ph == len(l.phases) {
+			l.ph = 0
+			l.rep++
+		}
+		if !ph.Async && l.pending != 0 {
+			return l.tagWait()
 		}
 	}
+	if l.pending != 0 {
+		return l.tagWait()
+	}
+	l.finished = true
+	return true
+}
+
+// slot draws the current memory phase's next element slot.
+func (l *patternLane) slot(ph *Phase) int64 {
+	c := &l.cursors[l.ph]
+	switch ph.Access {
+	case "rand":
+		if l.rng == nil {
+			l.rng = rand.New(rand.NewSource(l.seed))
+		}
+		return l.rng.Int63n(l.nSlots)
+	case "stride":
+		s := *c % l.nSlots
+		*c += ph.Stride / int64(l.chunk)
+		return s
+	default: // seq
+		s := *c % l.nSlots
+		*c++
+		return s
+	}
+}
+
+// issue charges the channel cycles of programming one DMA command, then
+// offers it to the queue (spe.Context's enqueue).
+func (l *patternLane) issue(kind mfc.Kind, tag, lsAddr int, ea int64) bool {
+	l.cmd = mfc.Cmd{Kind: kind, Tag: tag, LSAddr: lsAddr, EA: ea, Size: l.chunk}
+	l.note = noteDMAIssue
+	return l.delay(l.spe.DMAIssueCycles(), laneEnqueue)
+}
+
+// tagWait starts draining every tag group in flight (spe.Context's
+// WaitTagMask): the status-channel cycles, then a poll.
+func (l *patternLane) tagWait() bool {
+	l.mask, l.pending = l.pending, 0
+	l.note = noteTagChannel
+	return l.delay(l.spe.TagStatusCycles(), laneTagCheck)
+}
+
+// delay sets the continuation point and schedules it c cycles out,
+// reporting whether an event was scheduled; a zero charge continues
+// inline, matching Process.Wait(0).
+func (l *patternLane) delay(c sim.Time, pc int) bool {
+	l.pc = pc
+	if c == 0 {
+		return false
+	}
+	t := l.eng.Now() + c
+	l.eng.AtCallee(t, &l.cont, t)
+	return true
+}
+
+// offer presents l.cmd to the command queue. On ErrQueueFull it
+// subscribes the wake record for the next free slot and reports false;
+// the continuation point is unchanged, so the wake retries the offer.
+func (l *patternLane) offer() bool {
+	err := l.dma.Enqueue(l.cmd, nil)
+	if err == nil {
+		return true
+	}
+	if err != mfc.ErrQueueFull {
+		// Unreachable for a validated scenario; surfaced the way a
+		// coroutine kernel's panic reached the driver.
+		panic(&sim.ProcessPanic{Name: fmt.Sprintf("spe%d", l.idx),
+			Value: &spe.CommandError{SPE: l.idx, Err: err}})
+	}
+	l.note = noteDMAQfull
+	l.wake.armed = true
+	l.dma.OnSpaceCB(&l.wake)
+	return false
 }

@@ -165,7 +165,11 @@ func TestStreamOpTraffic(t *testing.T) {
 // TestWorkloadsNotSnapshottable declares the whole workload library
 // cold-path: snapshot capture must fail with ErrNotSnapshottable for
 // every kind, so sweeps fall back to per-point cold boots (proven by
-// TestWorkloadSweepColdFallback in internal/core).
+// TestWorkloadSweepColdFallback in internal/core). The refusal is a
+// policy, not a limitation of the interpreter (its lanes are state
+// machines like the pair-family streams): the benchmark's memory-bound
+// sweeps and probes are defined over cold boots, and lifting it means
+// redefining those first.
 func TestWorkloadsNotSnapshottable(t *testing.T) {
 	for _, sc := range []Scenario{
 		{Kind: "gups", SPEs: 2, Chunk: 64, Volume: 1 << 10, Op: "both"},

@@ -29,7 +29,8 @@ type remoteChip struct {
 	linkTo   *sim.Server
 	linkFrom *sim.Server
 	latency  sim.Time
-	service  sim.Time // link occupancy per 128-byte line
+	service  sim.Time    // link occupancy per 128-byte line
+	free     *remoteLine // recycled line records (engine is single-threaded)
 }
 
 func (s *System) remote() *remoteChip {
@@ -90,24 +91,81 @@ func (s *System) resolveRemoteLS(ea int64) (remote, off int, ok bool) {
 	return int(idx), int(off64), true
 }
 
+// remoteLine is one in-flight cross-chip line: a pooled record that
+// walks through the transfer's stages as the engine calls it back, in
+// place of a closure per stage (see xdr's lineOp).
+type remoteLine struct {
+	f     *fabric
+	ls    []byte // the remote local-store span
+	buf   []byte // requester-side packet buffer; may be nil
+	n     int
+	write bool
+	stage int
+	done  sim.Callee
+	next  *remoteLine
+}
+
+// Cross-chip line stages (remoteLine.stage).
+const (
+	remoteQueue     = iota // GET command or PUT data reached the IOIF: queue on the link
+	remoteLinked           // line crossed the link: forward it (GET) or deliver it (PUT)
+	remoteDelivered        // line reached its destination: copy and complete
+)
+
+// line fills a record for n bytes at remote LS offset off.
+func (rc *remoteChip) line(f *fabric, remote, off, n int, buf []byte, write bool, done sim.Callee) *remoteLine {
+	op := rc.free
+	if op == nil {
+		op = &remoteLine{}
+	} else {
+		rc.free = op.next
+	}
+	*op = remoteLine{f: f, ls: rc.ls[remote][off : off+n], buf: buf, n: n, write: write, done: done}
+	return op
+}
+
+// Call advances the line by one stage.
+func (op *remoteLine) Call(end sim.Time) {
+	sys := op.f.sys
+	rc := sys.rem
+	switch op.stage {
+	case remoteQueue:
+		op.stage = remoteLinked
+		link := rc.linkFrom
+		if op.write {
+			link = rc.linkTo
+		}
+		link.Request(rc.service*sim.Time((op.n+xdr.LineBytes-1)/xdr.LineBytes), op)
+	case remoteLinked:
+		op.stage = remoteDelivered
+		t := sys.Eng.Now() + rc.latency
+		if op.write {
+			sys.Eng.AtCallee(t, op, t)
+		} else {
+			sys.Bus.TransferCB(eib.RampIOIF0, op.f.ramp, op.n, t, op)
+		}
+	case remoteDelivered:
+		if op.buf != nil {
+			if op.write {
+				copy(op.ls, op.buf[:op.n])
+			} else {
+				copy(op.buf, op.ls)
+			}
+		}
+		done := op.done
+		*op = remoteLine{next: rc.free}
+		rc.free = op
+		done.Call(end)
+	}
+}
+
 // readRemote is the cross-chip GET data path: the remote chip streams the
 // line over the link, then it crosses the local EIB from the IOIF ramp.
 func (f *fabric) readRemote(remote, off int, n int, earliest sim.Time, dst []byte, done sim.Callee) {
 	sys := f.sys
 	rc := sys.remote()
 	ready := sys.Bus.Command(earliest)
-	dur := rc.service * sim.Time((n+xdr.LineBytes-1)/xdr.LineBytes)
-	sys.Eng.At(ready, func() {
-		rc.linkFrom.Request(dur, func(sim.Time) {
-			start := sys.Eng.Now() + rc.latency
-			sys.Bus.Transfer(eib.RampIOIF0, f.ramp, n, start, func(end sim.Time) {
-				if dst != nil {
-					copy(dst, rc.ls[remote][off:off+n])
-				}
-				done.Call(end)
-			})
-		})
-	})
+	sys.Eng.AtCallee(ready, rc.line(f, remote, off, n, dst, false, done), ready)
 }
 
 // writeRemote is the cross-chip PUT path: local EIB to the IOIF ramp,
@@ -116,16 +174,5 @@ func (f *fabric) writeRemote(remote, off int, n int, earliest sim.Time, src []by
 	sys := f.sys
 	rc := sys.remote()
 	ready := sys.Bus.Command(earliest)
-	dur := rc.service * sim.Time((n+xdr.LineBytes-1)/xdr.LineBytes)
-	sys.Bus.Transfer(f.ramp, eib.RampIOIF0, n, ready, func(xferEnd sim.Time) {
-		rc.linkTo.Request(dur, func(sim.Time) {
-			end := sys.Eng.Now() + rc.latency
-			sys.Eng.At(end, func() {
-				if src != nil {
-					copy(rc.ls[remote][off:off+n], src[:n])
-				}
-				done.Call(end)
-			})
-		})
-	})
+	sys.Bus.TransferCB(f.ramp, eib.RampIOIF0, n, ready, rc.line(f, remote, off, n, src, true, done))
 }

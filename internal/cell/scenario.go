@@ -261,9 +261,11 @@ func (sc Scenario) Install(sys *System) (int64, error) {
 	case "gups", "qcd", "md", "stream", "pattern":
 		// The whole workload library shares this one arm: the phase
 		// program (preset or explicit) runs on the generic interpreter.
-		if err := sc.installPattern(sys, spawn); err != nil {
+		n, err := sc.installPattern(sys)
+		if err != nil {
 			return 0, err
 		}
+		total += n
 	case "pair":
 		pairKernel(0, 1)
 	case "couples":

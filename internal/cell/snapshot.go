@@ -58,10 +58,11 @@ func (s *System) Snapshot() (*Snapshot, error) {
 	}
 	if s.scen.patternFamily() {
 		// The workload library (gups/qcd/md/stream/pattern) is declared
-		// cold-path: its phase programs run as coroutine interpreter
-		// kernels whose goroutine state a clone cannot re-materialize.
-		// Sweeps fall back to cold boots per point (see Job.snapshot).
-		return nil, fmt.Errorf("cell: %w: %q is a phase-program workload (coroutine interpreter, cold path only)", ErrNotSnapshottable, s.scen.Kind)
+		// cold-path by policy: its interpreter lanes are state machines a
+		// clone could replay, but the benchmark's memory-bound workload
+		// and probes are defined over cold boots. Sweeps fall back to
+		// cold boots per point (see Job.snapshot).
+		return nil, fmt.Errorf("cell: %w: %q is a phase-program workload (the workload library runs cold path only)", ErrNotSnapshottable, s.scen.Kind)
 	}
 	if s.Eng.Now() != 0 || s.Eng.Fired() != 0 {
 		return nil, fmt.Errorf("cell: %w: snapshot must be taken at the install boundary, before the system runs", ErrNotSnapshottable)

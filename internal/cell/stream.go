@@ -217,9 +217,9 @@ func (d *dmaStream) offer(put bool) bool {
 }
 
 // installStream registers the stream kernel and schedules its first
-// activation — the same immediate event a Spawn produced. The first
-// installed stream also registers the watchdog liveness reporter, since
-// state-machine kernels are invisible to the process registry.
+// activation — the same immediate event a Spawn produced. The watchdog
+// sees it through System.liveness, since state-machine kernels are
+// invisible to the process registry.
 func (sys *System) installStream(d *dmaStream) {
 	d.ord = len(sys.streams)
 	d.eng = sys.Eng
@@ -227,17 +227,6 @@ func (sys *System) installStream(d *dmaStream) {
 	d.dma = d.spe.MFC()
 	d.cont.d = d
 	d.wake.d = d
-	if len(sys.streams) == 0 {
-		sys.Eng.OnLiveness(func() []string {
-			var stuck []string
-			for _, st := range sys.streams {
-				if st.op != streamOpDone {
-					stuck = append(stuck, fmt.Sprintf("spe%d (%s)", st.idx, st.note))
-				}
-			}
-			return stuck
-		})
-	}
 	sys.streams = append(sys.streams, d)
 	sys.Eng.PostCallee(&d.cont, sys.Eng.Now())
 }

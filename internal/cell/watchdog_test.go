@@ -2,6 +2,7 @@ package cell
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -53,6 +54,39 @@ func TestCycleBudgetDiagnostic(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "MFC") {
 		t.Fatalf("diagnostic lacks MFC detail lines:\n%v", err)
+	}
+}
+
+// TestPatternLaneWedgeDiagnostic stops the workload interpreter on an
+// impossible cycle budget: every lane is a state machine, not a spawned
+// process, and must still be named in the diagnostic as spe<N> with the
+// park-site note it is blocked at.
+func TestPatternLaneWedgeDiagnostic(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxCycles = 3000
+	sys := New(cfg)
+	sc := Scenario{Kind: "gups", SPEs: 8, Chunk: 64, Volume: 32 << 10, Op: "both"}
+	if _, err := sc.Install(sys); err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	err := sys.RunChecked(0)
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("want *sim.DeadlockError, got %v", err)
+	}
+	notes := []string{noteDMAIssue, noteDMAQfull, noteTagChannel, noteTagWait}
+	for i := 0; i < sc.SPEs; i++ {
+		found := false
+		for _, s := range de.Stuck {
+			for _, n := range notes {
+				if s == fmt.Sprintf("spe%d (%s)", i, n) {
+					found = true
+				}
+			}
+		}
+		if !found {
+			t.Errorf("stuck list %v lacks spe%d with a park-site note", de.Stuck, i)
+		}
 	}
 }
 

@@ -1,10 +1,11 @@
 package core
 
 // Sweep-path coverage for the workload library (gups, qcd, md, stream).
-// The pattern interpreter is a coroutine kernel, so these kinds are
-// declared cold-path: System.Snapshot refuses them with
-// ErrNotSnapshottable and the scheduler's Job.snapshot() falls back to
-// booting every grid point from scratch. The tests here pin both halves
+// These kinds are declared cold-path (a policy: the benchmark's memory
+// sweeps are defined over cold boots, see TestWorkloadsNotSnapshottable):
+// System.Snapshot refuses them with ErrNotSnapshottable and the
+// scheduler's Job.snapshot() falls back to booting every grid point from
+// scratch. The tests here pin both halves
 // of that contract — the refusal is typed, and the fallback produces
 // exactly what a hand-rolled cold loop produces — plus the allocation
 // discipline of the cold interpreter itself.
@@ -95,10 +96,13 @@ func TestWorkloadSweepColdFallback(t *testing.T) {
 // TestWorkloadColdAllocParity is the alloc-accounting guard for the
 // pattern family's cold path (the only path these kinds have — see the
 // warm-path guard in sweep_smoke_test.go for the canonical kinds). Cold
-// points pay a per-command allocation cost in the shared event machinery
-// (that is exactly what the warm arena removes), so a flat-allocation
-// invariant cannot hold here. The invariant that can: the pattern
-// interpreter adds nothing on top. A GUPS "both" point and a mem "copy"
+// points pay an allocation cost for building the system (the engine, the
+// bus, eight SPEs with their MFCs, the lanes' address generators) — that
+// is what the warm arena removes — but, the line-access records and RAM
+// pages being pooled, next to nothing per command (TestMemoryPathAllocGuard
+// in the root package bounds whole points). The invariant checked here:
+// the pattern interpreter adds nothing per element on top of the
+// canonical kernel. A GUPS "both" point and a mem "copy"
 // point at the same chunk and volume issue the same number of DMA
 // commands, so their *marginal* allocations per command — measured by
 // differencing two volumes, which cancels all setup cost — must be at

@@ -22,15 +22,15 @@ func newFakeMem(eng *sim.Engine, latency sim.Time) *fakeMem {
 
 func (f *fakeMem) ReadLine(addr int64, earliest sim.Time, done func(end sim.Time)) {
 	f.reads++
-	f.srv.Request(16, func(sim.Time) {
+	f.srv.Request(16, sim.CalleeFunc(func(sim.Time) {
 		end := f.eng.Now() + f.latency
 		f.eng.At(end, func() { done(end) })
-	})
+	}))
 }
 
 func (f *fakeMem) WriteLine(addr int64, earliest sim.Time, done func(end sim.Time)) {
 	f.writes++
-	f.srv.Request(16, func(sim.Time) { done(f.eng.Now()) })
+	f.srv.Request(16, sim.CalleeFunc(func(sim.Time) { done(f.eng.Now()) }))
 }
 
 func newPPE(latency sim.Time) (*sim.Engine, *fakeMem, *PPE) {

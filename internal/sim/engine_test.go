@@ -243,7 +243,7 @@ func TestServerFIFO(t *testing.T) {
 	s := NewServer(e)
 	var ends []Time
 	for i := 0; i < 3; i++ {
-		s.Request(10, func(start Time) { ends = append(ends, e.Now()) })
+		s.Request(10, CalleeFunc(func(start Time) { ends = append(ends, e.Now()) }))
 	}
 	e.Run()
 	want := []Time{10, 20, 30}
@@ -258,9 +258,9 @@ func TestServerLateArrival(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e)
 	var ends []Time
-	s.Request(10, func(Time) { ends = append(ends, e.Now()) })
+	s.Request(10, CalleeFunc(func(Time) { ends = append(ends, e.Now()) }))
 	e.Schedule(25, func() {
-		s.Request(5, func(Time) { ends = append(ends, e.Now()) })
+		s.Request(5, CalleeFunc(func(Time) { ends = append(ends, e.Now()) }))
 	})
 	e.Run()
 	if ends[0] != 10 || ends[1] != 30 {
@@ -310,7 +310,7 @@ func TestServerThroughputProperty(t *testing.T) {
 		s := NewServer(e)
 		var last Time
 		for i := 0; i < int(n); i++ {
-			s.Request(Time(d), func(Time) { last = e.Now() })
+			s.Request(Time(d), CalleeFunc(func(Time) { last = e.Now() }))
 		}
 		e.Run()
 		return last == Time(n)*Time(d)
@@ -365,8 +365,8 @@ func TestSignalOnFireAndFired(t *testing.T) {
 func TestServerAccessors(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e)
-	s.Request(10, func(Time) {})
-	s.Request(10, func(Time) {})
+	s.Request(10, CalleeFunc(func(Time) {}))
+	s.Request(10, CalleeFunc(func(Time) {}))
 	if s.QueueLen() != 1 {
 		t.Fatalf("queue len %d, want 1 (one in service, one queued)", s.QueueLen())
 	}

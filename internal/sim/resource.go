@@ -4,16 +4,23 @@ package sim
 // occupying the resource for a caller-specified number of cycles. Requests
 // are granted in FIFO order. It is the building block for memory banks,
 // link ports and similar rate-limited hardware.
+//
+// Requests carry a Callee rather than a closure, and the service-end event
+// targets the server itself, so a steady stream of requests schedules
+// without allocating: the waiting queue reuses its backing array, and
+// callers pass pooled completion records.
 type Server struct {
 	eng       *Engine
 	busyUntil Time
-	queue     []serverReq
+	queue     []serverReq // queue[head:] are waiting
+	head      int
+	cur       serverReq // the request in service
 	inService bool
 }
 
 type serverReq struct {
-	dur  Time
-	done func(start Time)
+	dur Time
+	cb  Callee
 }
 
 // NewServer returns an idle server bound to eng.
@@ -26,6 +33,8 @@ func (s *Server) Reset() {
 	s.busyUntil = 0
 	clear(s.queue)
 	s.queue = s.queue[:0]
+	s.head = 0
+	s.cur = serverReq{}
 	s.inService = false
 }
 
@@ -34,36 +43,63 @@ func (s *Server) Reset() {
 func (s *Server) BusyUntil() Time { return s.busyUntil }
 
 // QueueLen returns the number of requests waiting (not yet started).
-func (s *Server) QueueLen() int { return len(s.queue) }
+func (s *Server) QueueLen() int { return len(s.queue) - s.head }
 
-// Request enqueues a request occupying the server for dur cycles. done is
-// called when the occupation *ends*, with the time service started.
-func (s *Server) Request(dur Time, done func(start Time)) {
-	s.queue = append(s.queue, serverReq{dur: dur, done: done})
+// Request enqueues a request occupying the server for dur cycles.
+// cb.Call(start) runs when the occupation *ends*, with the time service
+// started; the next waiting request starts right after it returns.
+func (s *Server) Request(dur Time, cb Callee) {
+	if len(s.queue) == cap(s.queue) && s.head > 0 {
+		// Slide the waiting requests to the front instead of growing.
+		n := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[n:])
+		s.queue, s.head = s.queue[:n], 0
+	}
+	s.queue = append(s.queue, serverReq{dur: dur, cb: cb})
 	if !s.inService {
 		s.startNext()
 	}
 }
 
 func (s *Server) startNext() {
-	if len(s.queue) == 0 {
+	if s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
 		s.inService = false
 		return
 	}
 	s.inService = true
-	req := s.queue[0]
-	s.queue = s.queue[1:]
+	s.cur = s.queue[s.head]
+	s.queue[s.head] = serverReq{}
+	s.head++
 	start := s.eng.Now()
 	if start < s.busyUntil {
 		start = s.busyUntil
 	}
-	end := start + req.dur
+	end := start + s.cur.dur
 	s.busyUntil = end
-	s.eng.At(end, func() {
-		req.done(start)
-		s.startNext()
-	})
+	s.eng.AtCallee(end, (*serverEnd)(s), start)
 }
+
+// serverEnd is the server's service-end event target: the server itself,
+// under a type whose Call stays out of the exported API.
+type serverEnd Server
+
+// Call completes the request in service, then starts the next.
+func (e *serverEnd) Call(start Time) {
+	s := (*Server)(e)
+	cb := s.cur.cb
+	s.cur = serverReq{}
+	cb.Call(start)
+	s.startNext()
+}
+
+// CalleeFunc adapts an ordinary function to the Callee interface, the way
+// http.HandlerFunc adapts one to http.Handler. A func value is a single
+// pointer, so the conversion itself does not allocate.
+type CalleeFunc func(at Time)
+
+// Call runs f(at).
+func (f CalleeFunc) Call(at Time) { f(at) }
 
 // Reserve occupies the server for dur cycles starting no earlier than
 // earliest, without queueing semantics: it finds the first gap at or after

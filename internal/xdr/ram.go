@@ -1,14 +1,39 @@
 package xdr
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
-// RAM is sparse byte-addressable storage: pages are allocated on first
+// RAM is sparse byte-addressable storage: pages are materialized on first
 // touch so a 512 MB address space costs only what the workload touches.
 // It carries the *contents* of memory; all timing lives in Memory.
 type RAM struct {
 	total    int64
 	pageSize int64
-	pages    map[int64][]byte
+	pages    map[int64]*ramPage
+}
+
+// ramPage is one materialized page, boxed so the pool can hold it without
+// allocating.
+type ramPage struct{ b []byte }
+
+// pagePool recycles pages across RAM lifetimes, the way spe's lsPool
+// recycles local stores. A sweep boots a fresh system per point, and a
+// GUPS point alone touches 16 MB of pages; recycling trades those
+// allocations (and the GC cycles they drive) for a memclr on reuse.
+var pagePool sync.Pool
+
+// newPage returns a zeroed page of n bytes, recycled when one is pooled.
+// A pooled page of another geometry is dropped.
+func newPage(n int64) *ramPage {
+	if v := pagePool.Get(); v != nil {
+		if p := v.(*ramPage); int64(len(p.b)) == n {
+			clear(p.b)
+			return p
+		}
+	}
+	return &ramPage{b: make([]byte, n)}
 }
 
 // NewRAM returns storage for total bytes, paged at pageSize.
@@ -16,15 +41,19 @@ func NewRAM(total, pageSize int64) *RAM {
 	if total <= 0 || pageSize <= 0 || total%pageSize != 0 {
 		panic(fmt.Sprintf("xdr: bad RAM geometry total=%d page=%d", total, pageSize))
 	}
-	return &RAM{total: total, pageSize: pageSize, pages: make(map[int64][]byte)}
+	return &RAM{total: total, pageSize: pageSize, pages: make(map[int64]*ramPage)}
 }
 
 // Size returns the address-space size in bytes.
 func (r *RAM) Size() int64 { return r.total }
 
-// Reset drops every materialized page, so all memory reads as zero again.
-// The map is retained (emptied) for reuse.
+// Reset returns every materialized page to the shared pool, so all memory
+// reads as zero again. The map is retained (emptied) for reuse. The
+// caller promises no slice obtained from this RAM is used afterwards.
 func (r *RAM) Reset() {
+	for _, p := range r.pages {
+		pagePool.Put(p)
+	}
 	clear(r.pages)
 }
 
@@ -32,12 +61,15 @@ func (r *RAM) Reset() {
 func (r *RAM) TouchedPages() int { return len(r.pages) }
 
 func (r *RAM) page(idx int64, create bool) []byte {
-	p, ok := r.pages[idx]
-	if !ok && create {
-		p = make([]byte, r.pageSize)
+	p := r.pages[idx]
+	if p == nil {
+		if !create {
+			return nil
+		}
+		p = newPage(r.pageSize)
 		r.pages[idx] = p
 	}
-	return p
+	return p.b
 }
 
 func (r *RAM) check(addr int64, n int) {
@@ -59,9 +91,7 @@ func (r *RAM) Read(addr int64, dst []byte) {
 		if p := r.page(idx, false); p != nil {
 			copy(dst[:n], p[off:])
 		} else {
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		}
 		dst = dst[n:]
 		addr += int64(n)

@@ -140,6 +140,7 @@ type Memory struct {
 	cfg   Config
 	banks [2]*bank
 	ram   *RAM
+	free  *lineOp // recycled access records (see lineOp)
 }
 
 // SetFaults attaches a fault injector to both banks (nil disables
@@ -173,15 +174,15 @@ func (m *Memory) SetPerf(pc *perfctr.Counters) {
 }
 
 // Reset returns the memory system to the state New(eng, bus, cfg) would
-// build, keeping both banks' server records (with their queue capacity)
-// and the RAM's page map. Attachments (faults, tracer, perf) are cleared
-// as on a fresh Memory; the assembling layer rewires them. Part of the
-// warm-system recycling path.
+// build, keeping both banks' server records (with their queue capacity),
+// the access-record free list and the RAM's page map; the pages
+// themselves go back to the shared pool. Attachments (faults, tracer,
+// perf) are cleared as on a fresh Memory; the assembling layer rewires
+// them. Part of the warm-system recycling path.
 func (m *Memory) Reset(cfg Config) {
+	m.ram.Reset()
 	if cfg.TotalBytes != m.cfg.TotalBytes || cfg.PageBytes != m.cfg.PageBytes {
 		m.ram = NewRAM(cfg.TotalBytes, cfg.PageBytes)
-	} else {
-		m.ram.Reset()
 	}
 	m.cfg = cfg
 	for i, b := range m.banks {
@@ -321,78 +322,149 @@ func (m *Memory) checkSpan(addr int64, n int) {
 	}
 }
 
-func (b *bank) occupy(kind opKind, eng *sim.Engine, turn sim.Time, n int, done func(end sim.Time)) {
-	b.applyRefresh(eng.Now())
-	b.applyNoise(eng.Now())
+// occupy queues op on the bank after charging the refresh, noise and
+// injected stalls that take the bank first.
+func (b *bank) occupy(kind opKind, now sim.Time, op *lineOp) {
+	b.applyRefresh(now)
+	b.applyNoise(now)
 	// Injected bank-busy stall: like a refresh collision, the bank is
 	// stolen with priority over the queued accesses.
 	if d := b.faults.XDRStall(); d > 0 {
 		b.stats.FaultStalls++
-		b.srv.Reserve(eng.Now(), d)
+		b.srv.Reserve(now, d)
 	}
 	dur := b.service
 	if b.lastOp != kind {
-		dur += turn
+		dur += b.cfg.TurnaroundCycles
 		b.lastOp = kind
 	}
 	b.stats.Requests++
-	b.srv.Request(dur, func(start sim.Time) {
-		b.tracer.Emit(b.track, trace.KindBank, start, eng.Now(), int64(n), int64(kind), 0, 0)
-		done(eng.Now())
-	})
+	b.srv.Request(dur, op)
+}
+
+// lineOp is one in-flight line access, held in a record that walks
+// through the access's stages as the engine calls it back (command
+// arrival, EIB data transfer, bank service, write acknowledgement). Each
+// stage is one engine event, exactly as with a closure per stage, so the
+// event sequence does not depend on how completions are represented
+// (TestMemoryPathGoldens pins it). Records recycle through Memory's free
+// list, so steady-state accesses allocate nothing; the engine is
+// single-threaded, so the list needs no locking.
+type lineOp struct {
+	m         *Memory
+	bk        *bank
+	addr      int64
+	n         int
+	buf       []byte // dst for reads, src for writes; nil for timing-only
+	ramp      eib.RampID
+	requestor eib.RampID
+	lat       sim.Time
+	write     bool
+	stage     int
+	done      sim.Callee
+	next      *lineOp
+}
+
+// Access stages (lineOp.stage), in firing order for each direction.
+const (
+	readCommand  = iota // command phase done: queue on the bank
+	readService         // bank service done: transfer bank -> requestor
+	readArrived         // data arrived at the requestor: complete
+	writeCommand        // command phase done: transfer requestor -> bank
+	writeArrived        // data arrived at the bank: queue on the bank
+	writeService        // bank service done: absorb, schedule the ack
+	writeAcked          // acknowledgement delivered: complete
+)
+
+// start fills a record for an access of n bytes at addr and schedules its
+// command phase.
+func (m *Memory) start(requestor eib.RampID, addr int64, n int, earliest sim.Time, buf []byte, write bool, done sim.Callee) {
+	m.checkSpan(addr, n)
+	b := m.Bank(addr)
+	bk := m.banks[b]
+	bk.perf.Access(addr, n, write)
+	op := m.free
+	if op == nil {
+		op = &lineOp{m: m}
+	} else {
+		m.free = op.next
+	}
+	op.bk, op.addr, op.n, op.buf, op.requestor, op.write, op.done = bk, addr, n, buf, requestor, write, done
+	op.ramp, op.lat, op.stage = eib.RampMIC, m.cfg.LocalReadLatency, readCommand
+	if write {
+		op.lat, op.stage = m.cfg.LocalWriteLatency, writeCommand
+	}
+	if b == 1 {
+		op.ramp = eib.RampIOIF0
+		op.lat += m.cfg.RemoteExtraLatency
+	}
+	ready := m.bus.Command(earliest)
+	m.eng.AtCallee(ready, op, ready)
+}
+
+// Call advances the access by one stage. at is the stage's event time,
+// except after bank service, where the server passes the time service
+// started.
+func (op *lineOp) Call(at sim.Time) {
+	m, bk := op.m, op.bk
+	now := m.eng.Now()
+	switch op.stage {
+	case readCommand:
+		op.stage = readService
+		bk.occupy(opRead, now, op)
+	case readService:
+		bk.tracer.Emit(bk.track, trace.KindBank, at, now, int64(op.n), int64(opRead), 0, 0)
+		bk.stats.ReadBytes += int64(op.n)
+		op.stage = readArrived
+		m.bus.TransferCB(op.ramp, op.requestor, op.n, now+op.lat, op)
+	case readArrived:
+		if op.buf != nil {
+			m.ram.Read(op.addr, op.buf[:op.n])
+		}
+		op.finish(at)
+	case writeCommand:
+		op.stage = writeArrived
+		m.bus.TransferCB(op.requestor, op.ramp, op.n, now, op)
+	case writeArrived:
+		op.stage = writeService
+		bk.occupy(opWrite, now, op)
+	case writeService:
+		bk.tracer.Emit(bk.track, trace.KindBank, at, now, int64(op.n), int64(opWrite), 0, 0)
+		if op.buf != nil {
+			m.ram.Write(op.addr, op.buf[:op.n])
+		}
+		bk.stats.WriteBytes += int64(op.n)
+		op.stage = writeAcked
+		ack := now + op.lat
+		m.eng.AtCallee(ack, op, ack)
+	case writeAcked:
+		op.finish(at)
+	}
+}
+
+// finish recycles the record, then tells the caller. Release comes first
+// because done may issue the next access synchronously and should find
+// this record back on the free list.
+func (op *lineOp) finish(end sim.Time) {
+	m, done := op.m, op.done
+	*op = lineOp{m: m, next: m.free}
+	m.free = op
+	done.Call(end)
 }
 
 // Read performs a line read: command phase on the EIB, bank occupancy,
 // then a data transfer from the bank's ramp to the requestor. dst receives
-// the bytes when the transfer completes, at which point done fires. dst
-// may be nil to model a timing-only access.
-func (m *Memory) Read(requestor eib.RampID, addr int64, n int, earliest sim.Time, dst []byte, done func(end sim.Time)) {
-	m.checkSpan(addr, n)
-	bk := m.banks[m.Bank(addr)]
-	bk.perf.Access(addr, n, false)
-	ramp := m.Ramp(addr)
-	lat := m.cfg.LocalReadLatency
-	if m.Bank(addr) == 1 {
-		lat += m.cfg.RemoteExtraLatency
-	}
-	ready := m.bus.Command(earliest)
-	m.eng.At(ready, func() {
-		bk.occupy(opRead, m.eng, m.cfg.TurnaroundCycles, n, func(svcEnd sim.Time) {
-			bk.stats.ReadBytes += int64(n)
-			m.bus.Transfer(ramp, requestor, n, svcEnd+lat, func(end sim.Time) {
-				if dst != nil {
-					m.ram.Read(addr, dst[:n])
-				}
-				done(end)
-			})
-		})
-	})
+// the bytes when the transfer completes, at which point done.Call(end)
+// fires. dst may be nil to model a timing-only access.
+func (m *Memory) Read(requestor eib.RampID, addr int64, n int, earliest sim.Time, dst []byte, done sim.Callee) {
+	m.start(requestor, addr, n, earliest, dst, false, done)
 }
 
 // Write performs a line write: command phase, data transfer from the
-// requestor to the bank's ramp, then bank occupancy. done fires when the
-// bank has absorbed the write (the point at which the MFC retires the
-// transfer for flow-control purposes). src may be nil for timing-only.
-func (m *Memory) Write(requestor eib.RampID, addr int64, n int, earliest sim.Time, src []byte, done func(end sim.Time)) {
-	m.checkSpan(addr, n)
-	bk := m.banks[m.Bank(addr)]
-	bk.perf.Access(addr, n, true)
-	ramp := m.Ramp(addr)
-	lat := m.cfg.LocalWriteLatency
-	if m.Bank(addr) == 1 {
-		lat += m.cfg.RemoteExtraLatency
-	}
-	ready := m.bus.Command(earliest)
-	m.eng.At(ready, func() {
-		m.bus.Transfer(requestor, ramp, n, m.eng.Now(), func(xferEnd sim.Time) {
-			bk.occupy(opWrite, m.eng, m.cfg.TurnaroundCycles, n, func(svcEnd sim.Time) {
-				if src != nil {
-					m.ram.Write(addr, src[:n])
-				}
-				bk.stats.WriteBytes += int64(n)
-				ack := svcEnd + lat
-				m.eng.AtCall(ack, done, ack)
-			})
-		})
-	})
+// requestor to the bank's ramp, then bank occupancy. done.Call(end) fires
+// when the bank has absorbed the write (the point at which the MFC
+// retires the transfer for flow-control purposes). src may be nil for
+// timing-only.
+func (m *Memory) Write(requestor eib.RampID, addr int64, n int, earliest sim.Time, src []byte, done sim.Callee) {
+	m.start(requestor, addr, n, earliest, src, true, done)
 }

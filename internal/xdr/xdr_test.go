@@ -146,7 +146,7 @@ func TestReadDeliversData(t *testing.T) {
 	m.RAM().Write(4096, want)
 	got := make([]byte, len(want))
 	doneAt := sim.Time(0)
-	m.Read(eib.RampSPE0, 4096, len(want), 0, got, func(e sim.Time) { doneAt = e })
+	m.Read(eib.RampSPE0, 4096, len(want), 0, got, sim.CalleeFunc(func(e sim.Time) { doneAt = e }))
 	eng.Run()
 	if !bytes.Equal(got, want) {
 		t.Fatalf("read %q, want %q", got, want)
@@ -164,7 +164,7 @@ func TestWriteDeliversData(t *testing.T) {
 	eng, m := newMem(true)
 	want := []byte("written through the MIC")
 	done := false
-	m.Write(eib.RampSPE0, 8192, len(want), 0, want, func(sim.Time) { done = true })
+	m.Write(eib.RampSPE0, 8192, len(want), 0, want, sim.CalleeFunc(func(sim.Time) { done = true }))
 	eng.Run()
 	if !done {
 		t.Fatal("write did not complete")
@@ -184,9 +184,9 @@ func TestReadLatencyLocalVsRemote(t *testing.T) {
 		remoteAddr += page
 	}
 	var localEnd, remoteEnd sim.Time
-	m.Read(eib.RampSPE0, 0, 128, 0, nil, func(e sim.Time) { localEnd = e })
+	m.Read(eib.RampSPE0, 0, 128, 0, nil, sim.CalleeFunc(func(e sim.Time) { localEnd = e }))
 	eng.Run()
-	m.Read(eib.RampSPE0, remoteAddr, 128, eng.Now(), nil, func(e sim.Time) { remoteEnd = e })
+	m.Read(eib.RampSPE0, remoteAddr, 128, eng.Now(), nil, sim.CalleeFunc(func(e sim.Time) { remoteEnd = e }))
 	start := eng.Now()
 	eng.Run()
 	if remoteEnd-start <= localEnd {
@@ -201,7 +201,7 @@ func TestLineCrossingPanics(t *testing.T) {
 			t.Fatal("line-crossing request should panic")
 		}
 	}()
-	m.Read(eib.RampSPE0, 100, 64, 0, nil, func(sim.Time) {})
+	m.Read(eib.RampSPE0, 100, 64, 0, nil, sim.CalleeFunc(func(sim.Time) {}))
 }
 
 func TestOversizeRequestPanics(t *testing.T) {
@@ -211,7 +211,7 @@ func TestOversizeRequestPanics(t *testing.T) {
 			t.Fatal("oversize request should panic")
 		}
 	}()
-	m.Read(eib.RampSPE0, 0, 256, 0, nil, func(sim.Time) {})
+	m.Read(eib.RampSPE0, 0, 256, 0, nil, sim.CalleeFunc(func(sim.Time) {}))
 }
 
 // Bank throughput: N back-to-back line reads from one bank cannot finish
@@ -221,7 +221,7 @@ func TestBankServiceRateLimits(t *testing.T) {
 	const n = 100
 	var last sim.Time
 	for i := 0; i < n; i++ {
-		m.Read(eib.RampSPE0, int64(i)*128, 128, 0, nil, func(e sim.Time) { last = e })
+		m.Read(eib.RampSPE0, int64(i)*128, 128, 0, nil, sim.CalleeFunc(func(e sim.Time) { last = e }))
 	}
 	eng.Run()
 	min := sim.Time(n) * m.Config().LocalServiceCycles
@@ -243,7 +243,7 @@ func TestRemoteSlowerThanLocalThroughput(t *testing.T) {
 		eng, m := newMem(false)
 		var last sim.Time
 		for i := 0; i < 50; i++ {
-			m.Read(eib.RampSPE0, addr0+int64(i)*128, 128, 0, nil, func(e sim.Time) { last = e })
+			m.Read(eib.RampSPE0, addr0+int64(i)*128, 128, 0, nil, sim.CalleeFunc(func(e sim.Time) { last = e }))
 		}
 		eng.Run()
 		return last
@@ -271,9 +271,9 @@ func TestTurnaroundPenalty(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			addr := int64(i) * 128
 			if alternate && i%2 == 1 {
-				m.Write(eib.RampSPE0, addr, 128, 0, buf, func(e sim.Time) { last = e })
+				m.Write(eib.RampSPE0, addr, 128, 0, buf, sim.CalleeFunc(func(e sim.Time) { last = e }))
 			} else {
-				m.Read(eib.RampSPE0, addr, 128, 0, nil, func(e sim.Time) { last = e })
+				m.Read(eib.RampSPE0, addr, 128, 0, nil, sim.CalleeFunc(func(e sim.Time) { last = e }))
 			}
 		}
 		eng.Run()
@@ -298,7 +298,7 @@ func TestRefreshStealsBandwidth(t *testing.T) {
 		m := New(eng, bus, cfg)
 		var last sim.Time
 		for i := 0; i < 2000; i++ {
-			m.Read(eib.RampSPE0, int64(i)*128, 128, 0, nil, func(e sim.Time) { last = e })
+			m.Read(eib.RampSPE0, int64(i)*128, 128, 0, nil, sim.CalleeFunc(func(e sim.Time) { last = e }))
 		}
 		eng.Run()
 		return last
@@ -330,4 +330,53 @@ func FuzzRAM(f *testing.F) {
 			t.Fatalf("round trip mismatch at %#x", addr)
 		}
 	})
+}
+
+// TestRecycledPagesComeBackZeroed dirties whole pages, hands them back to
+// the page pool the two ways a system does — RAM.Reset when a dead
+// system is released, Memory.Reset when a warm one is recycled — and
+// checks that every page then reads zero, including pages re-materialized
+// by a one-byte write (the ones most likely to be recycled).
+func TestRecycledPagesComeBackZeroed(t *testing.T) {
+	const page, pages = 64 << 10, 4
+	dirty := bytes.Repeat([]byte{0xA5}, page)
+	dirtyAll := func(r *RAM) {
+		for i := 0; i < pages; i++ {
+			r.Write(int64(i)*page, dirty)
+		}
+	}
+	check := func(r *RAM, how string) {
+		t.Helper()
+		if r.TouchedPages() != 0 {
+			t.Fatalf("%s: %d pages still materialized", how, r.TouchedPages())
+		}
+		got := make([]byte, page)
+		for i := 0; i < pages; i++ {
+			r.Read(int64(i)*page, got)
+			if !bytes.Equal(got, make([]byte, page)) {
+				t.Fatalf("%s: page %d reads non-zero before any write", how, i)
+			}
+			r.Write(int64(i)*page+7, []byte{1})
+			r.Read(int64(i)*page, got)
+			for j, b := range got {
+				if j != 7 && b != 0 {
+					t.Fatalf("%s: re-materialized page %d byte %d = %#x, want it zeroed", how, i, j, b)
+				}
+			}
+		}
+	}
+	for round := 0; round < 3; round++ {
+		r := NewRAM(1<<20, page)
+		dirtyAll(r)
+		r.Reset()
+		check(r, "after RAM.Reset")
+		dirtyAll(r)
+		r.Reset()
+		check(NewRAM(1<<20, page), "fresh RAM after another's Reset")
+
+		_, m := newMem(true)
+		dirtyAll(m.RAM())
+		m.Reset(m.Config())
+		check(m.RAM(), "after Memory.Reset")
+	}
 }
