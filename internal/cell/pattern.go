@@ -515,7 +515,6 @@ func (sc Scenario) installPattern(sys *System) (int64, error) {
 // — and every wait schedules the same engine event at the same point, so
 // the event sequence is the one a coroutine running this loop produces.
 type patternLane struct {
-	sys *System
 	idx int // logical SPE
 	eng *sim.Engine
 	spe *spe.SPE
@@ -582,7 +581,6 @@ func (w *laneWake) Call(sim.Time) {
 
 func newPatternLane(sys *System, sc Scenario, pat Pattern, lane int, base int64) *patternLane {
 	l := &patternLane{
-		sys:    sys,
 		idx:    lane,
 		phases: pat.Phases,
 		reps:   pat.reps(),

@@ -65,11 +65,11 @@ const (
 
 // Continuation points (dmaStream.pc).
 const (
-	pcStart   = iota // first activation: begin iteration 0
-	pcEnqGet         // issue cost paid: offer the Get to the queue
-	pcEnqPut         // issue cost paid: offer the Put to the queue
-	pcTagCheck       // status-read cost paid: poll the tag groups
-	pcTagWake        // tag-group wake delivered: finish
+	pcStart    = iota // first activation: begin iteration 0
+	pcEnqGet          // issue cost paid: offer the Get to the queue
+	pcEnqPut          // issue cost paid: offer the Put to the queue
+	pcTagCheck        // status-read cost paid: poll the tag groups
+	pcTagWake         // tag-group wake delivered: finish
 )
 
 // Park-site labels, matching the notes the coroutine kernel set.
