@@ -125,7 +125,6 @@ type System struct {
 	memFree   *memDone // free list of coherence-point completion records
 	streams   []*dmaStream
 	lanes     []*patternLane
-	ff        *ffController // nil unless EnableFastForward was called
 
 	// fabs holds each logical SPE's routing fabric so a recycled system
 	// can rebind ramps for a new layout without rebuilding the SPEs.
@@ -217,7 +216,6 @@ func (s *System) init(cfg Config) {
 	s.streams = s.streams[:0]
 	clear(s.lanes)
 	s.lanes = s.lanes[:0]
-	s.ff = nil
 	s.scen = Scenario{}
 
 	for logical := 0; logical < NumSPEs; logical++ {
@@ -251,7 +249,7 @@ func (s *System) init(cfg Config) {
 func (s *System) liveness() []string {
 	var stuck []string
 	for _, st := range s.streams {
-		if st.op != streamOpDone {
+		if !st.done {
 			stuck = append(stuck, fmt.Sprintf("spe%d (%s)", st.idx, st.note))
 		}
 	}
@@ -433,12 +431,6 @@ func (s *System) RunChecked(maxCycles sim.Time) (err error) {
 	}()
 	if maxCycles == 0 {
 		maxCycles = s.cfg.MaxCycles
-	}
-	if s.ff != nil {
-		// A steady-state jump must never overshoot the watchdog budget: a
-		// cycle-exact run would have stopped at the boundary, and the
-		// fast-forwarded run must fail (or pass) identically.
-		s.ff.budget = maxCycles
 	}
 	if err := s.Eng.RunChecked(maxCycles); err != nil {
 		return err

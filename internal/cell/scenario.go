@@ -245,11 +245,10 @@ func (sc Scenario) Install(sys *System) (int64, error) {
 			return
 		}
 		// The element variant runs as a registered stream: the same loop,
-		// reified so the fast-forward controller can inspect its progress
+		// reified as a state machine so the system stays snapshot-capable
 		// (see dmaStream).
 		total += 2 * sc.Volume
 		sys.installStream(&dmaStream{
-			sys:    sys,
 			idx:    idx,
 			chunk:  sc.Chunk,
 			slots:  pairSlots(sc.Chunk),

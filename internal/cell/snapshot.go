@@ -16,17 +16,17 @@ import (
 // fires. That is the only instant provably shared by every grid point of
 // a sweep: the canonical scenarios randomize the SPE layout per seed, so
 // two points' event histories diverge from the very first DMA command and
-// no later prefix is common (measured directly: the fast-forward
-// controller's digest matching finds zero recurring microstates across
-// any pair of anchors; see DESIGN.md). At cycle 0 the shared warm state
-// is exactly the boot image: all-zero local stores, empty timelines, the
-// immutable route/path tables. Cloning therefore shares the *allocations*
-// rather than mid-run state — a retired carcass keeps its grown timing
-// wheel, EIB interval timelines, MFC queues and local stores, and a clone
-// pointer-resets them (zeroing stores only over their recorded dirty
-// spans) instead of cold-booting. Teardown of a grid point becomes
-// Retire: a handful of slice-length resets instead of a garbage
-// collection of megabytes.
+// no later prefix is common. Even within one point the run never returns
+// to an identical microstate: the switching-gap ring arbitration keeps
+// the EIB timetable from recurring (see DESIGN.md). At cycle 0 the
+// shared warm state is exactly the boot image: all-zero local stores,
+// empty timelines, the immutable route/path tables. Cloning therefore
+// shares the *allocations* rather than mid-run state — a retired carcass
+// keeps its grown timing wheel, EIB interval timelines, MFC queues and
+// local stores, and a clone pointer-resets them (zeroing stores only over
+// their recorded dirty spans) instead of cold-booting. Teardown of a grid
+// point becomes Retire: a handful of slice-length resets instead of a
+// garbage collection of megabytes.
 //
 // Exactness is enforced, not assumed: a cloned system must be
 // observationally identical to cell.New + Scenario.Install, and the

@@ -18,31 +18,28 @@ import (
 // the kernel is a method call on a pooled record, not four unbuffered
 // channel operations and a goroutine context switch per park/activate.
 //
-// The reified progress (iteration count, position within the iteration
-// body, park-site note) is what lets the steady-state fast-forward
-// controller prove that two instants of the run are equivalent and jump
-// between them; stream iteration state is one of the "linear counters"
-// the controller advances analytically on a committed jump.
+// Because the kernel is a record rather than a goroutine, a system that
+// runs only streams holds no live coroutine state at the install boundary
+// and is snapshot-capable (see System.Snapshot). The park-site note is
+// what the watchdog reports for a stream that never finishes (see
+// System.liveness).
 type dmaStream struct {
-	sys    *System
-	ord    int // registration ordinal (install order across the scenario)
 	idx    int // logical SPE the kernel runs on
 	chunk  int
 	slots  int
 	iters  int64 // total iterations (one Get+Put per iteration)
 	peerEA int64
 
-	// Live progress, updated as the kernel advances. i is the current
-	// iteration; op is the position inside the body: 0 = about to Get,
-	// 1 = about to Put, 2 = in the final tag wait, 3 = done.
-	i  int64
-	op int
+	// Live progress, updated as the kernel advances: the current
+	// iteration, and whether the final tag wait has completed.
+	i    int64
+	done bool
 
 	eng  *sim.Engine
 	spe  *spe.SPE
 	dma  *mfc.MFC
 	pc   int    // continuation point step resumes from
-	note string // current park-site label (the coroutine's SetNote)
+	note string // current park-site label, reported by the watchdog
 
 	// cont is the kernel's timer/continuation event target and wake its
 	// one-shot subscription record — the state-machine counterparts of a
@@ -55,14 +52,6 @@ type dmaStream struct {
 	wake dmaStreamWake
 }
 
-// Stream body positions (dmaStream.op).
-const (
-	streamOpGet = iota
-	streamOpPut
-	streamOpTagWait
-	streamOpDone
-)
-
 // Continuation points (dmaStream.pc).
 const (
 	pcStart    = iota // first activation: begin iteration 0
@@ -72,7 +61,7 @@ const (
 	pcTagWake         // tag-group wake delivered: finish
 )
 
-// Park-site labels, matching the notes the coroutine kernel set.
+// Park-site labels, reported by the watchdog for an unfinished kernel.
 const (
 	noteDMAIssue   = "dma-issue"
 	noteDMAQfull   = "dma-qfull"
@@ -127,7 +116,6 @@ func (d *dmaStream) step() {
 			if !d.offer(false) {
 				return
 			}
-			d.op = streamOpPut
 			d.note = noteDMAIssue
 			if d.delay(d.spe.DMAIssueCycles(), pcEnqPut) {
 				return
@@ -142,7 +130,7 @@ func (d *dmaStream) step() {
 			}
 		case pcTagCheck:
 			if d.dma.TagsComplete(streamTags) {
-				d.op = streamOpDone
+				d.done = true
 				return
 			}
 			d.note = noteTagWait
@@ -151,7 +139,7 @@ func (d *dmaStream) step() {
 			d.dma.WaitTagsCB(streamTags, &d.wake)
 			return
 		case pcTagWake:
-			d.op = streamOpDone
+			d.done = true
 			return
 		}
 	}
@@ -160,18 +148,12 @@ func (d *dmaStream) step() {
 // startIter begins iteration d.i — or, past the loop bound, the final tag
 // wait — charging the channel cycles the next queue attempt costs. It
 // reports whether the continuation was scheduled (false: continue inline,
-// the Wait(0) case). The fast-forward anchor fires before the body
-// mutates op or note, exactly where the coroutine loop placed it.
+// the Wait(0) case).
 func (d *dmaStream) startIter() bool {
 	if d.i < d.iters {
-		if d.ord == 0 && d.i%int64(d.slots) == 0 {
-			d.sys.ffAnchor()
-		}
-		d.op = streamOpGet
 		d.note = noteDMAIssue
 		return d.delay(d.spe.DMAIssueCycles(), pcEnqGet)
 	}
-	d.op = streamOpTagWait
 	d.note = noteTagChannel
 	return d.delay(d.spe.TagStatusCycles(), pcTagCheck)
 }
@@ -221,7 +203,6 @@ func (d *dmaStream) offer(put bool) bool {
 // sees it through System.liveness, since state-machine kernels are
 // invisible to the process registry.
 func (sys *System) installStream(d *dmaStream) {
-	d.ord = len(sys.streams)
 	d.eng = sys.Eng
 	d.spe = sys.SPEs[d.idx]
 	d.dma = d.spe.MFC()

@@ -687,15 +687,17 @@ func (j *Job) skip(n int) {
 }
 
 func (j *Job) finish() {
-	close(j.results)
-	j.cancel() // release the context's resources
 	// A finished job — every point delivered or deliberately skipped —
 	// will never need resuming: seal it in the journal so the next boot
 	// does not resurrect it. (A crash is precisely the absence of this
-	// record.) The append fsyncs before returning.
+	// record.) The append fsyncs before returning, and it comes before
+	// the results channel closes, so a consumer that has seen the end of
+	// the stream knows the job is sealed.
 	if jr := j.sched.opts.Journal; jr != nil && j.jid != "" {
 		jr.AppendDone(j.jid)
 	}
+	close(j.results)
+	j.cancel() // release the context's resources
 	j.sched.release(j.ID)
 }
 

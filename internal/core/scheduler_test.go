@@ -12,6 +12,7 @@ import (
 	"cellbe/internal/cell"
 	"cellbe/internal/fault"
 	"cellbe/internal/sim"
+	"cellbe/internal/spe"
 )
 
 // drainJob collects a job's streamed results and sorts them into the
@@ -201,14 +202,11 @@ func TestSubmitSnapshotsBaseConfig(t *testing.T) {
 }
 
 // TestInstrumentedSweepReleasesLSBuffers is the leak regression test for
-// the Instrument retention contract: a sweep whose hook retains nothing
-// must recycle its pooled 256 KB local-store buffers exactly like an
-// uninstrumented sweep, instead of leaking 8 fresh buffers per grid
-// point.
+// the Instrument retention contract: a point whose hook retains nothing
+// must hand its 256 KB local-store buffers back for recycling, exactly
+// like an uninstrumented sweep, instead of leaking 8 fresh buffers per
+// grid point; a point whose hook returns true keeps its stores.
 func TestInstrumentedSweepReleasesLSBuffers(t *testing.T) {
-	// Pooling only shows up without GC clearing the pool mid-measure.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-
 	spec := SweepSpec{
 		Scenario: "cycle",
 		SPEs:     8,
@@ -217,6 +215,60 @@ func TestInstrumentedSweepReleasesLSBuffers(t *testing.T) {
 		Volume:   64 << 10,
 		Workers:  1,
 	}
+
+	// The contract itself: inspect every point's system after the sweep.
+	var mu sync.Mutex
+	kept := map[int64]*cell.System{}
+	dropped := map[int64]*cell.System{}
+	contract := spec
+	contract.Instrument = func(_ int, seed int64, sys *cell.System) bool {
+		retain := seed%2 == 0
+		mu.Lock()
+		defer mu.Unlock()
+		if retain {
+			kept[seed] = sys
+		} else {
+			dropped[seed] = sys
+		}
+		return retain
+	}
+	if _, err := RunSweep(contract); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != 4 || len(dropped) != 4 {
+		t.Fatalf("hook saw %d retained and %d released points, want 4 and 4", len(kept), len(dropped))
+	}
+	for seed, sys := range dropped {
+		for i, sp := range sys.SPEs {
+			if n := len(sp.LS()); n != 0 {
+				t.Errorf("seed %d SPE%d: hook returned false but the %d-byte local store was not released", seed, i, n)
+			}
+		}
+	}
+	owner := map[*byte]int64{}
+	for seed, sys := range kept {
+		for i, sp := range sys.SPEs {
+			ls := sp.LS()
+			if len(ls) != spe.LocalStoreBytes {
+				t.Errorf("seed %d SPE%d: hook returned true but the local store is %d bytes, want %d", seed, i, len(ls), spe.LocalStoreBytes)
+				continue
+			}
+			if prev, dup := owner[&ls[0]]; dup {
+				t.Errorf("seed %d SPE%d: retained local store is shared with seed %d: it was recycled", seed, i, prev)
+			}
+			owner[&ls[0]] = seed
+		}
+	}
+
+	// The volume check: with the pool warm, an instrumented sweep that
+	// retains nothing allocates like an uninstrumented one. The race
+	// detector makes sync.Pool drop Puts at random, so the pool never
+	// stays warm there and the comparison means nothing.
+	if raceEnabled {
+		return
+	}
+	// Pooling only shows up without GC clearing the pool mid-measure.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	measure := func(spec SweepSpec) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -368,14 +368,14 @@ func Hops(src, dst RampID, d Direction) int {
 // pathTable holds the segment indices for every (direction, src, dst)
 // triple, sliced out of one shared backing array. The ring topology is
 // fixed, so the 12x12x2 table is built once at package init; rebuilding a
-// fresh []int per candidate ring per Transfer call was one of the largest
+// fresh []int per candidate ring per transfer call was one of the largest
 // allocation sources in saturated runs. Callers must treat the returned
 // slices as read-only.
 var pathTable [2][NumRamps][NumRamps][]int
 
 // route is the precomputed routing decision for one (direction, src, dst)
 // triple: whether the direction is eligible (<= 6 hops), the path length,
-// and the segments travelled. Transfer consults it per candidate ring, so
+// and the segments travelled. transfer consults it per candidate ring, so
 // it folds the Hops modular arithmetic and the path lookup into one load.
 type route struct {
 	segs []int
@@ -477,29 +477,20 @@ func (e *EIB) portsFit(src, dst RampID, start, dur sim.Time, oIdx, iIdx int) (si
 	}
 }
 
-// Transfer schedules a data-ring transfer of the given size from src to
-// dst, starting no earlier than earliest. done is invoked at the simulated
-// time the last beat arrives at dst. Transfers between a ramp and itself
-// (LS-to-LS within one SPE, handled locally) complete after the pure beat
-// time without touching the rings.
-func (e *EIB) Transfer(src, dst RampID, bytes int, earliest sim.Time, done func(end sim.Time)) {
-	end := e.transfer(src, dst, bytes, earliest)
-	e.eng.AtCall(end, done, end)
-}
-
-// TransferCB is Transfer with a prebound completion record in place of the
-// callback: cb.Call(end) fires at the same simulated time, in the same
-// event order, as Transfer's done(end) would (the completion event is
-// sequenced at the same program point either way). It exists for per-packet
-// hot paths that pool their completion records to avoid closure allocation.
+// TransferCB schedules a data-ring transfer of the given size from src to
+// dst, starting no earlier than earliest. cb.Call(end) fires at the
+// simulated time end the last beat arrives at dst. The completion is a
+// Callee rather than a closure so per-packet hot paths can pool their
+// completion records and allocate nothing per transfer. Transfers between
+// a ramp and itself (LS-to-LS within one SPE, handled locally) complete
+// after the pure beat time without touching the rings.
 func (e *EIB) TransferCB(src, dst RampID, bytes int, earliest sim.Time, cb sim.Callee) {
 	end := e.transfer(src, dst, bytes, earliest)
 	e.eng.AtCallee(end, cb, end)
 }
 
 // transfer books the transfer on the timetable and returns the completion
-// time; the exported wrappers differ only in how they schedule the
-// completion callback.
+// time.
 func (e *EIB) transfer(src, dst RampID, bytes int, earliest sim.Time) sim.Time {
 	if bytes <= 0 {
 		panic("eib: transfer of zero bytes")
@@ -517,7 +508,6 @@ func (e *EIB) transfer(src, dst RampID, bytes int, earliest sim.Time) sim.Time {
 		end := earliest + dur
 		e.stats.Transfers++
 		e.stats.LocalTransfers++
-		e.stats.WaitCycles += 0 // local transfers wait on nothing, by definition
 		e.stats.Bytes += int64(bytes)
 		e.perf.Local(bytes)
 		e.record(TransferRecord{Issued: e.eng.Now(), Start: earliest, End: end, Src: src, Dst: dst, Bytes: bytes, Ring: -1})

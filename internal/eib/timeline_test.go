@@ -208,7 +208,7 @@ func (t *refTimeline) reserve(s, dur sim.Time, owner int32) {
 
 // TestTimelineInterleavedProperty interleaves earliestFit/reserve/prune
 // across many owners with a monotonically advancing clock — the exact
-// call pattern eib.Transfer produces — and checks, after every step, that
+// call pattern EIB.TransferCB produces — and checks, after every step, that
 // the optimized timeline (a) matches the seed reference implementation
 // fit-for-fit and interval-for-interval, and (b) keeps its live intervals
 // sorted, disjoint and switching-gap-respecting. This is the invariant

@@ -103,3 +103,37 @@ func TestProcessPanicIsTyped(t *testing.T) {
 	eng.RunChecked(0)
 	t.Fatal("expected the process panic to propagate")
 }
+
+func TestVisitLiveProcesses(t *testing.T) {
+	eng := NewEngine()
+	for _, name := range []string{"a", "b", "c", "d", "e"} {
+		d := Time(20)
+		if name == "b" || name == "d" {
+			d = 5
+		}
+		Spawn(eng, name, func(p *Process) { p.Wait(d) })
+	}
+	visit := func(limit int) ([]string, bool) {
+		var seen []string
+		ok := eng.VisitLiveProcesses(func(p *Process) bool {
+			seen = append(seen, p.Name())
+			return len(seen) < limit
+		})
+		return seen, ok
+	}
+
+	if got, ok := visit(99); !ok || strings.Join(got, ",") != "a,b,c,d,e" {
+		t.Fatalf("before running: visited %v (complete=%v), want every process in spawn order", got, ok)
+	}
+	eng.RunUntil(10) // b and d finish; a, c and e are still waiting
+	if got, ok := visit(99); !ok || strings.Join(got, ",") != "a,c,e" {
+		t.Fatalf("after b and d finished: visited %v (complete=%v), want a,c,e", got, ok)
+	}
+	if got, ok := visit(2); ok || strings.Join(got, ",") != "a,c" {
+		t.Fatalf("visit returning false on the 2nd process: visited %v (complete=%v), want a,c and false", got, ok)
+	}
+	eng.Run()
+	if got, ok := visit(99); !ok || len(got) != 0 {
+		t.Fatalf("after the run: visited %v (complete=%v), want none", got, ok)
+	}
+}
