@@ -18,7 +18,6 @@ import (
 	"cellbe/internal/perfctr"
 	"cellbe/internal/ppe"
 	"cellbe/internal/sim"
-	"cellbe/internal/spe"
 )
 
 // benchParams keeps benchmark iterations affordable: 3 layout samples,
@@ -373,38 +372,33 @@ func BenchmarkSweepWarm(b *testing.B) {
 func BenchmarkAblationSyncEvery(b *testing.B) {
 	var eager, delayed float64
 	for i := 0; i < b.N; i++ {
-		sys := cell.New(cell.DefaultConfig())
-		eager = pairOnce(sys, 2048, 1)
-		sys = cell.New(cell.DefaultConfig())
-		delayed = pairOnce(sys, 2048, 0)
+		eager = pairOnce(2048, 1)
+		delayed = pairOnce(2048, 0)
 	}
 	b.ReportMetric(eager, "syncEvery1-GB/s")
 	b.ReportMetric(delayed, "delayed-GB/s")
 }
 
-func pairOnce(sys *cell.System, chunk, syncEvery int) float64 {
-	const volume = 1 << 20
-	var cycles sim.Time
-	sys.SPEs[0].Run("pair", func(ctx *spe.Context) {
-		start := ctx.Decrementer()
-		peer := sys.LSEA(1, 0)
-		issued, i := 0, 0
-		for off := int64(0); off < volume; off += int64(chunk) {
-			slot := i % 8
-			ctx.Get(slot*chunk, peer+int64(slot*chunk), chunk, 0)
-			ctx.Put(64<<10+slot*chunk, peer+int64(slot*chunk), chunk, 1)
-			issued += 2
-			i++
-			if syncEvery > 0 && issued >= syncEvery {
-				ctx.WaitTagMask(3)
-				issued = 0
-			}
-		}
-		ctx.WaitTagMask(3)
-		cycles = ctx.Decrementer() - start
-	})
+// pairOnce runs the SPE0-to-SPE1 pair stream over 1 MB, waiting for the
+// tag groups after every syncEvery commands (0: only at the end).
+func pairOnce(chunk, syncEvery int) float64 {
+	sys := cell.New(cell.DefaultConfig())
+	total := sys.InstallPairStream(0, sys.LSEA(1, 0), chunk, 1<<20, syncEvery)
 	sys.Run()
-	return sys.GBps(2*volume, cycles)
+	return sys.GBps(total, sys.Eng.Now())
+}
+
+// scenarioGBps installs sc on a fresh system built from cfg, runs it and
+// returns the aggregate bandwidth.
+func scenarioGBps(b *testing.B, cfg cell.Config, sc cell.Scenario) float64 {
+	b.Helper()
+	sys := cell.New(cfg)
+	total, err := sc.Install(sys)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys.Run()
+	return sys.GBps(total, sys.Eng.Now())
 }
 
 // BenchmarkAblationListVsElem compares DMA-list against DMA-elem for
@@ -449,24 +443,7 @@ func memGetOnce(b *testing.B, interleave bool, window int) float64 {
 	cfg := cell.DefaultConfig()
 	cfg.Mem.Interleave = interleave
 	cfg.MFC.Window = window
-	sys := cell.New(cfg)
-	const volume = 1 << 20
-	var last sim.Time
-	for i := 0; i < 4; i++ {
-		i := i
-		base := sys.Alloc(volume, 1<<16)
-		sys.SPEs[i].Run("mem", func(ctx *spe.Context) {
-			for off := int64(0); off < volume; off += 16384 {
-				ctx.Get(int(off)%(128<<10), base+off, 16384, 0)
-			}
-			ctx.WaitTagMask(1)
-			if e := ctx.Decrementer(); e > last {
-				last = e
-			}
-		})
-	}
-	sys.Run()
-	return sys.GBps(4*volume, last)
+	return scenarioGBps(b, cfg, cell.Scenario{Kind: "mem", SPEs: 4, Chunk: 16384, Volume: 1 << 20, Op: "get"})
 }
 
 // BenchmarkAblationWindow shows that a single SPE's ~10 GB/s memory limit
@@ -486,20 +463,7 @@ func singleSPEGet(b *testing.B, window int) float64 {
 	b.Helper()
 	cfg := cell.DefaultConfig()
 	cfg.MFC.Window = window
-	sys := cell.New(cfg)
-	const volume = 1 << 20
-	base := sys.Alloc(volume, 1<<16)
-	var cycles sim.Time
-	sys.SPEs[0].Run("mem", func(ctx *spe.Context) {
-		start := ctx.Decrementer()
-		for off := int64(0); off < volume; off += 16384 {
-			ctx.Get(int(off)%(128<<10), base+off, 16384, 0)
-		}
-		ctx.WaitTagMask(1)
-		cycles = ctx.Decrementer() - start
-	})
-	sys.Run()
-	return sys.GBps(volume, cycles)
+	return scenarioGBps(b, cfg, cell.Scenario{Kind: "mem", SPEs: 1, Chunk: 16384, Volume: 1 << 20, Op: "get"})
 }
 
 // BenchmarkAblationPrefetch shows the L2 stream prefetcher is what makes
@@ -554,28 +518,7 @@ func couplesOnce(b *testing.B, gap sim.Time) float64 {
 		cfg := cell.DefaultConfig()
 		cfg.EIB.RingDeadCycles = gap
 		cfg.Layout = cell.RandomLayout(seed)
-		sys := cell.New(cfg)
-		const volume = 1 << 20
-		var last sim.Time
-		for c := 0; c < 4; c++ {
-			active, passive := 2*c, 2*c+1
-			peer := sys.LSEA(passive, 0)
-			sys.SPEs[active].Run("couple", func(ctx *spe.Context) {
-				i := 0
-				for off := int64(0); off < volume; off += 16384 {
-					slot := i % 8
-					ctx.Get(slot*16384, peer+int64(slot*16384), 16384, 0)
-					ctx.Put(128<<10+slot*16384, peer+int64(slot*16384), 16384, 1)
-					i++
-				}
-				ctx.WaitTagMask(3)
-				if e := ctx.Decrementer(); e > last {
-					last = e
-				}
-			})
-		}
-		sys.Run()
-		sum += sys.GBps(8*volume, last)
+		sum += scenarioGBps(b, cfg, cell.Scenario{Kind: "couples", SPEs: 8, Chunk: 16384, Volume: 1 << 20})
 	}
 	return sum / seeds
 }

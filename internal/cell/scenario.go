@@ -15,7 +15,9 @@ var ErrBadScenario = errors.New("invalid scenario")
 
 // Scenario describes one of the canonical DMA workloads the paper's
 // SPE-to-SPE experiments are built from. The same scenarios back the
-// cellsim debugging tool, the cellbench sweep runner, the saturation
+// paper figures in internal/core (Figures 8 GET/PUT, 12, 13, 15 and 16;
+// Figure 10 installs the pair kernel directly, see InstallPairStream),
+// the cellsim debugging tool, the cellbench sweep runner, the saturation
 // benchmarks and the scheduler determinism test, so all of them drive
 // cycle-for-cycle identical kernels.
 type Scenario struct {
@@ -247,14 +249,7 @@ func (sc Scenario) Install(sys *System) (int64, error) {
 		// The element variant runs as a registered stream: the same loop,
 		// reified as a state machine so the system stays snapshot-capable
 		// (see dmaStream).
-		total += 2 * sc.Volume
-		sys.installStream(&dmaStream{
-			idx:    idx,
-			chunk:  sc.Chunk,
-			slots:  pairSlots(sc.Chunk),
-			iters:  (sc.Volume + int64(sc.Chunk) - 1) / int64(sc.Chunk),
-			peerEA: sys.LSEA(peer, 0),
-		})
+		total += sys.InstallPairStream(idx, sys.LSEA(peer, 0), sc.Chunk, sc.Volume, 0)
 	}
 	switch sc.Kind {
 	case "gups", "qcd", "md", "stream", "pattern":

@@ -9,12 +9,12 @@ import (
 )
 
 // dmaStream is the pair-family element kernel (pair/couples/cycle, the
-// non-list variants) reified as an event-driven state machine instead of a
-// spawned coroutine. The kernel behaviour is identical to the goroutine
-// body it replaces — the same MFC calls with the same arguments, and the
-// same engine events scheduled at the same execution points, so the
-// engine's sequence counter advances identically and every simulated
-// timestamp is unchanged. What changes is the host-side cost: advancing
+// non-list variants, and Figure 10's synchronization sweep) reified as an
+// event-driven state machine instead of a spawned coroutine. The kernel
+// behaviour is identical to the goroutine body it replaces — the same MFC
+// calls with the same arguments, and the same engine events scheduled at
+// the same execution points, so the engine's sequence counter advances
+// identically and every simulated timestamp is unchanged. What changes is the host-side cost: advancing
 // the kernel is a method call on a pooled record, not four unbuffered
 // channel operations and a goroutine context switch per park/activate.
 //
@@ -29,11 +29,16 @@ type dmaStream struct {
 	slots  int
 	iters  int64 // total iterations (one Get+Put per iteration)
 	peerEA int64
+	sync   int // wait for the tag groups after this many commands (0: only at the end)
 
 	// Live progress, updated as the kernel advances: the current
-	// iteration, and whether the final tag wait has completed.
-	i    int64
-	done bool
+	// iteration, the commands issued since the last sync, whether the
+	// pending tag wait is an interval sync rather than the final wait,
+	// and whether the final tag wait has completed.
+	i       int64
+	issued  int
+	syncing bool
+	done    bool
 
 	eng  *sim.Engine
 	spe  *spe.SPE
@@ -125,13 +130,22 @@ func (d *dmaStream) step() {
 				return
 			}
 			d.i++
+			if d.sync > 0 {
+				d.issued += 2
+				if d.issued >= d.sync {
+					d.issued = 0
+					d.syncing = true
+				}
+			}
 			if d.startIter() {
 				return
 			}
 		case pcTagCheck:
 			if d.dma.TagsComplete(streamTags) {
-				d.done = true
-				return
+				if d.resume() {
+					return
+				}
+				continue
 			}
 			d.note = noteTagWait
 			d.pc = pcTagWake
@@ -139,23 +153,36 @@ func (d *dmaStream) step() {
 			d.dma.WaitTagsCB(streamTags, &d.wake)
 			return
 		case pcTagWake:
-			d.done = true
-			return
+			if d.resume() {
+				return
+			}
 		}
 	}
 }
 
-// startIter begins iteration d.i — or, past the loop bound, the final tag
-// wait — charging the channel cycles the next queue attempt costs. It
-// reports whether the continuation was scheduled (false: continue inline,
-// the Wait(0) case).
+// startIter begins iteration d.i — or, during an interval sync or past
+// the loop bound, a tag wait — charging the channel cycles the next
+// queue attempt or status read costs. It reports whether the
+// continuation was scheduled (false: continue inline, the Wait(0) case).
 func (d *dmaStream) startIter() bool {
-	if d.i < d.iters {
+	if d.i < d.iters && !d.syncing {
 		d.note = noteDMAIssue
 		return d.delay(d.spe.DMAIssueCycles(), pcEnqGet)
 	}
 	d.note = noteTagChannel
 	return d.delay(d.spe.TagStatusCycles(), pcTagCheck)
+}
+
+// resume leaves a completed tag wait: an interval sync goes on with the
+// next iteration (or the final wait), the final wait finishes the kernel.
+// It reports whether step should return, as startIter does.
+func (d *dmaStream) resume() bool {
+	if !d.syncing {
+		d.done = true
+		return true
+	}
+	d.syncing = false
+	return d.startIter()
 }
 
 // delay sets the continuation point and schedules it c cycles out,
@@ -198,16 +225,32 @@ func (d *dmaStream) offer(put bool) bool {
 	return false
 }
 
-// installStream registers the stream kernel and schedules its first
-// activation — the same immediate event a Spawn produced. The watchdog
-// sees it through System.liveness, since state-machine kernels are
-// invisible to the process registry.
-func (sys *System) installStream(d *dmaStream) {
+// InstallPairStream installs the pair-family element kernel on logical
+// SPE idx: volume bytes GET from and PUT to the local store at peerEA in
+// chunk-byte elements, waiting for both tag groups after every sync
+// commands (0: only once, at the end; Figure 10's interval). It returns
+// the payload bytes the kernel accounts for, both directions. chunk must
+// pass Scenario.Validate's element checks. Run the system afterwards.
+//
+// The kernel is registered, not spawned: the watchdog sees it through
+// System.liveness, since state-machine kernels are invisible to the
+// process registry. Its first activation is the same immediate event a
+// Spawn produced.
+func (sys *System) InstallPairStream(idx int, peerEA int64, chunk int, volume int64, sync int) int64 {
+	d := &dmaStream{
+		idx:    idx,
+		chunk:  chunk,
+		slots:  pairSlots(chunk),
+		iters:  (volume + int64(chunk) - 1) / int64(chunk),
+		peerEA: peerEA,
+		sync:   sync,
+	}
 	d.eng = sys.Eng
-	d.spe = sys.SPEs[d.idx]
+	d.spe = sys.SPEs[idx]
 	d.dma = d.spe.MFC()
 	d.cont.d = d
 	d.wake.d = d
 	sys.streams = append(sys.streams, d)
 	sys.Eng.PostCallee(&d.cont, sys.Eng.Now())
+	return 2 * volume
 }

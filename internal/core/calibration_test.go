@@ -5,24 +5,16 @@ package core
 // constants in the component configs — if one fails after a model change,
 // the reproduction has drifted.
 
-import (
-	"testing"
+import "testing"
 
-	"cellbe/internal/cell"
-	"cellbe/internal/spe"
-)
+// calibrationParams measures one run on the identity layout, 2 MB per SPE.
+var calibrationParams = Params{Runs: 1, BytesPerSPE: 2 << 20}
 
 // pairBandwidth measures one active SPE doing GET+PUT with a passive
 // partner, as in §4.2.3.
 func pairBandwidth(t *testing.T, chunk int, syncEvery int) float64 {
 	t.Helper()
-	sys := cell.New(cell.DefaultConfig())
-	const volume = 2 << 20
-	a := newAggregate(sys)
-	a.spawn(0, "active", 2*volume, func(ctx *spe.Context) {
-		pairStreamKernel(ctx, sys.LSEA(1, 0), volume, chunk, syncEvery)
-	})
-	return a.run()
+	return runPair(calibrationParams, 0, 0, 1, chunk, syncEvery)
 }
 
 func TestCalibrationPairPeak(t *testing.T) {
@@ -58,23 +50,7 @@ func TestCalibrationSyncEveryRequestHurts(t *testing.T) {
 // memBandwidth measures n SPEs streaming against main memory (Figure 8).
 func memBandwidth(t *testing.T, n int, chunk int, op DMAOp) float64 {
 	t.Helper()
-	sys := cell.New(cell.DefaultConfig())
-	const volume = 2 << 20
-	a := newAggregate(sys)
-	for i := 0; i < n; i++ {
-		i := i
-		base := sys.Alloc(volume, 1<<16)
-		dst := base
-		counted := int64(volume)
-		if op == DMACopy {
-			dst = sys.Alloc(volume, 1<<16)
-			counted = 2 * volume
-		}
-		a.spawn(i, "mem", counted, func(ctx *spe.Context) {
-			memStreamKernel(ctx, op, base, dst, volume, chunk)
-		})
-	}
-	return a.run()
+	return runSPEMemory(calibrationParams, 0, n, chunk, op, false)
 }
 
 func TestCalibrationSingleSPEMemory(t *testing.T) {

@@ -8,9 +8,6 @@ package core
 // chip behind the IOIF.
 
 import (
-	"fmt"
-
-	"cellbe/internal/spe"
 	"cellbe/internal/stats"
 )
 
@@ -50,10 +47,5 @@ func runCrossChip(p Params, run, chunk int, remote bool) float64 {
 	if remote {
 		peer = sys.RemoteLSEA(0, 0)
 	}
-	volume := p.BytesPerSPE
-	a := newAggregate(sys)
-	a.spawn(0, fmt.Sprintf("pair-remote=%v", remote), 2*volume, func(ctx *spe.Context) {
-		pairStreamKernel(ctx, peer, volume, chunk, 0)
-	})
-	return a.run()
+	return runInstalled(sys, sys.InstallPairStream(0, peer, chunk, p.BytesPerSPE, 0))
 }

@@ -74,14 +74,6 @@ func runFaultPoint(p Params, run int, sc cell.Scenario, bp int) float64 {
 	cfg.Layout = cell.RandomLayout(p.FirstSeed + int64(run))
 	cfg.Faults = faultConfigAt(bp)
 	cfg.FaultSeed = p.FirstSeed + int64(run)
-	sys := cell.New(cfg)
 	sc.Volume = p.BytesPerSPE
-	total, err := sc.Install(sys)
-	if err != nil {
-		panic(err)
-	}
-	if err := sys.RunChecked(0); err != nil {
-		panic(err)
-	}
-	return sys.GBps(total, sys.Eng.Now())
+	return runScenario(cell.New(cfg), sc)
 }

@@ -1,20 +1,13 @@
 package core
 
 import (
-	"fmt"
-
 	"cellbe/internal/cell"
-	"cellbe/internal/mfc"
-	"cellbe/internal/sim"
 	"cellbe/internal/spe"
 )
 
-// lsWindow is how much local store a streaming kernel cycles through for
-// its DMA buffers (the rest is "program + data" in a real SPU binary).
+// lsWindow is how much local store the copy kernel cycles through for its
+// DMA buffers (the rest is "program + data" in a real SPU binary).
 const lsWindow = 128 << 10
-
-// peerWindow is how much of a partner's local store a pair kernel targets.
-const peerWindow = 128 << 10
 
 // DMAOp selects the transfer direction of a memory-streaming kernel.
 type DMAOp int
@@ -38,181 +31,48 @@ func (o DMAOp) String() string {
 	return "?"
 }
 
-// memStreamKernel issues GET/PUT/copy element commands of size chunk
-// covering volume bytes of the region at base, waiting only once at the
-// end (the paper's "postpone waiting for DMA transfers" rule). For the
-// copy operation each buffer slot chains GETF/PUTF on a per-slot tag so
-// the PUT reads the data its GET fetched, while slots pipeline freely.
-// It returns the cycles from first issue to full completion.
-func memStreamKernel(ctx *spe.Context, op DMAOp, base, dstBase int64, volume int64, chunk int) sim.Time {
-	start := ctx.Decrementer()
-	slots := lsWindow / chunk
-	if slots > 16 {
-		slots = 16
-	}
-	if slots < 1 {
-		slots = 1
-	}
+// memCopyKernel is Figure 8's copy: it GETs volume bytes from src and
+// PUTs them to the separate region at dst in chunk-byte elements, waiting
+// only once at the end (the paper's "postpone waiting for DMA transfers"
+// rule). Each buffer slot chains a fenced GET and PUT on its own tag, so
+// the PUT reads the data its GET fetched while slots pipeline freely.
+//
+// GET and PUT run on the cell kernels (the "mem" scenario), but copy
+// keeps this kernel: the scenario copies in place on a single tag, which
+// serialises every fenced pair behind the previous one, and the
+// memory-path goldens pin that behaviour.
+func memCopyKernel(ctx *spe.Context, src, dst, volume int64, chunk int) {
+	slots := min(max(lsWindow/chunk, 1), 16) // one tag per slot
 	i := 0
 	for off := int64(0); off < volume; off += int64(chunk) {
 		slot := i % slots
-		lsOff := slot * chunk
-		switch op {
-		case DMAGet:
-			ctx.Get(lsOff, base+off, chunk, slot%mfc.NumTags)
-		case DMAPut:
-			ctx.Put(lsOff, base+off, chunk, slot%mfc.NumTags)
-		case DMACopy:
-			tag := slot % mfc.NumTags
-			ctx.GetF(lsOff, base+off, chunk, tag)
-			ctx.PutF(lsOff, dstBase+off, chunk, tag)
-		}
+		ctx.GetF(slot*chunk, src+off, chunk, slot)
+		ctx.PutF(slot*chunk, dst+off, chunk, slot)
 		i++
 	}
 	ctx.WaitTagMask(^uint32(0))
-	return ctx.Decrementer() - start
 }
 
-// pairStreamKernel is the active half of an SPE couple: it GETs from and
-// PUTs to its partner's local store simultaneously, syncing only after
-// syncEvery commands (0 = only at the end). It returns elapsed cycles.
-// The transferred volume is per direction.
-func pairStreamKernel(ctx *spe.Context, peerEA int64, volume int64, chunk int, syncEvery int) sim.Time {
-	start := ctx.Decrementer()
-	slots := lsWindow / chunk
-	if slots > 8 {
-		slots = 8
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	peerSlots := peerWindow / chunk
-	if peerSlots < 1 {
-		peerSlots = 1
-	}
-	issued := 0
-	i := 0
-	for off := int64(0); off < volume; off += int64(chunk) {
-		slot := i % slots
-		pslot := i % peerSlots
-		peer := peerEA + int64(pslot)*int64(chunk)
-		ctx.Get(slot*chunk, peer, chunk, 0)
-		ctx.Put(lsWindow/2+slot*chunk, peer, chunk, 1)
-		issued += 2
-		i++
-		if syncEvery > 0 && issued >= syncEvery {
-			ctx.WaitTagMask(1<<0 | 1<<1)
-			issued = 0
-		}
-	}
-	ctx.WaitTagMask(1<<0 | 1<<1)
-	return ctx.Decrementer() - start
-}
-
-// pairListKernel is the DMA-list variant of pairStreamKernel: the same
-// volume, grouped into list commands of up to 16 KB each, list elements of
-// size chunk.
-func pairListKernel(ctx *spe.Context, peerEA int64, volume int64, chunk int) sim.Time {
-	start := ctx.Decrementer()
-	perList := mfc.MaxTransfer / chunk
-	if perList < 1 {
-		perList = 1
-	}
-	if perList > mfc.MaxListElements {
-		perList = mfc.MaxListElements
-	}
-	listBytes := int64(perList * chunk)
-	peerSlots := peerWindow / chunk
-	if peerSlots < 1 {
-		peerSlots = 1
-	}
-	i := 0
-	for off := int64(0); off < volume; off += listBytes {
-		list := make([]mfc.ListElem, 0, perList)
-		for k := 0; k < perList && off+int64(k*chunk) < volume; k++ {
-			pslot := i % peerSlots
-			list = append(list, mfc.ListElem{EA: peerEA + int64(pslot)*int64(chunk), Size: chunk})
-			i++
-		}
-		lsOff := int(off % (lsWindow / 2))
-		if lsOff+perList*chunk > lsWindow/2 {
-			lsOff = 0
-		}
-		ctx.GetList(lsOff, list, 0)
-		ctx.PutList(lsWindow/2+lsOff, list, 1)
-	}
-	ctx.WaitTagMask(1<<0 | 1<<1)
-	return ctx.Decrementer() - start
-}
-
-// memListKernel streams volume bytes from memory with GETL/PUTL list
-// commands (list elements of size chunk, lists of up to 16 KB).
-func memListKernel(ctx *spe.Context, op DMAOp, base int64, volume int64, chunk int) sim.Time {
-	start := ctx.Decrementer()
-	perList := mfc.MaxTransfer / chunk
-	if perList < 1 {
-		perList = 1
-	}
-	listBytes := int64(perList * chunk)
-	for off := int64(0); off < volume; off += listBytes {
-		list := make([]mfc.ListElem, 0, perList)
-		for k := 0; k < perList && off+int64(k*chunk) < volume; k++ {
-			list = append(list, mfc.ListElem{EA: base + off + int64(k*chunk), Size: chunk})
-		}
-		lsOff := int(off % (lsWindow / 2))
-		if lsOff+perList*chunk > lsWindow/2 {
-			lsOff = 0
-		}
-		if op == DMAGet {
-			ctx.GetList(lsOff, list, 0)
-		} else {
-			ctx.PutList(lsOff, list, 0)
-		}
-	}
-	ctx.WaitTagMask(1 << 0)
-	return ctx.Decrementer() - start
-}
-
-// aggregate runs a set of SPU kernels to completion and returns the
-// aggregate bandwidth: total bytes moved divided by the wall time from
-// simulation start to the last kernel's completion.
-type aggregate struct {
-	sys        *cell.System
-	totalBytes int64
-	lastEnd    sim.Time
-	pending    int
-}
-
-func newAggregate(sys *cell.System) *aggregate { return &aggregate{sys: sys} }
-
-// spawn starts kernel on logical SPE idx; bytes is the volume the kernel
-// accounts for in the aggregate.
-func (a *aggregate) spawn(idx int, name string, bytes int64, kernel func(ctx *spe.Context)) {
-	a.pending++
-	a.totalBytes += bytes
-	sp := a.sys.SPEs[idx]
-	sp.Run(name, func(ctx *spe.Context) {
-		kernel(ctx)
-		if end := ctx.Decrementer(); end > a.lastEnd {
-			a.lastEnd = end
-		}
-		a.pending--
-	})
-}
-
-// run drives the simulation under the watchdog and returns the aggregate
-// bandwidth in GB/s. A deadlocked or conservation-violating experiment
-// panics with the structured diagnostic (*sim.DeadlockError or a
-// conservation error) instead of a bare string; RunSweep and experiment
-// drivers recover it into a per-run error.
-func (a *aggregate) run() float64 {
-	if err := a.sys.RunChecked(0); err != nil {
+// runScenario installs sc on sys and returns the aggregate bandwidth of
+// the run (see runInstalled).
+func runScenario(sys *cell.System, sc cell.Scenario) float64 {
+	total, err := sc.Install(sys)
+	if err != nil {
 		panic(err)
 	}
-	if a.pending != 0 {
-		// Unreachable when the watchdog is sound: kernels that did not
-		// complete leave their processes blocked, which RunChecked reports.
-		panic(fmt.Sprintf("core: %d kernels did not complete yet no process is blocked", a.pending))
+	return runInstalled(sys, total)
+}
+
+// runInstalled drives a system whose kernels are installed under the
+// watchdog and returns the aggregate bandwidth in GB/s: total payload
+// bytes over the cycles from simulation start to the last event. A
+// deadlocked or conservation-violating experiment panics with the
+// structured diagnostic (*sim.DeadlockError or a conservation error)
+// instead of a bare string; RunSweep and experiment drivers recover it
+// into a per-run error.
+func runInstalled(sys *cell.System, total int64) float64 {
+	if err := sys.RunChecked(0); err != nil {
+		panic(err)
 	}
-	return a.sys.GBps(a.totalBytes, a.lastEnd)
+	return sys.GBps(total, sys.Eng.Now())
 }

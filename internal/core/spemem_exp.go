@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
+	"cellbe/internal/cell"
 	"cellbe/internal/spe"
 	"cellbe/internal/stats"
 )
@@ -41,30 +43,26 @@ func SPEMemory(p Params, op DMAOp, list bool) (*Result, error) {
 	return res, nil
 }
 
+// runSPEMemory measures n SPEs streaming against main memory. GET and PUT
+// run the cell "mem" scenario; copy runs memCopyKernel.
 func runSPEMemory(p Params, run, n, chunk int, op DMAOp, list bool) float64 {
 	if list && op == DMACopy {
 		panic("core: list copy kernel not defined by the paper")
 	}
 	sys := p.newSystem(run)
-	a := newAggregate(sys)
 	volume := p.BytesPerSPE
+	if op != DMACopy {
+		return runScenario(sys, cell.Scenario{Kind: "mem", SPEs: n, Chunk: chunk,
+			Volume: volume, Op: strings.ToLower(op.String()), List: list})
+	}
 	for i := 0; i < n; i++ {
-		base := sys.Alloc(volume, 1<<16)
-		dst := base
-		counted := volume
-		if op == DMACopy {
-			dst = sys.Alloc(volume, 1<<16)
-			counted = 2 * volume
-		}
-		a.spawn(i, fmt.Sprintf("mem-spe%d", i), counted, func(ctx *spe.Context) {
-			if list {
-				memListKernel(ctx, op, base, volume, chunk)
-			} else {
-				memStreamKernel(ctx, op, base, dst, volume, chunk)
-			}
+		src := sys.Alloc(volume, 1<<16)
+		dst := sys.Alloc(volume, 1<<16)
+		sys.SPEs[i].Run(fmt.Sprintf("mem-spe%d", i), func(ctx *spe.Context) {
+			memCopyKernel(ctx, src, dst, volume, chunk)
 		})
 	}
-	return a.run()
+	return runInstalled(sys, int64(n)*2*volume)
 }
 
 // SPELocalStore reproduces §4.2.2: SPU load/store/copy bandwidth against

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"cellbe/internal/spe"
+	"cellbe/internal/cell"
 	"cellbe/internal/stats"
 )
 
@@ -44,15 +44,12 @@ func SPEPairSync(p Params) (*Result, error) {
 	return res, nil
 }
 
-// runPair measures one active/passive SPE pair (logical indices a and b).
+// runPair measures one active/passive SPE pair (logical indices a and b)
+// on the cell pair stream, waiting for the tag groups after every
+// syncEvery commands (0: only at the end).
 func runPair(p Params, run, a, b, chunk, syncEvery int) float64 {
 	sys := p.newSystem(run)
-	volume := p.BytesPerSPE
-	agg := newAggregate(sys)
-	agg.spawn(a, fmt.Sprintf("pair-active%d", a), 2*volume, func(ctx *spe.Context) {
-		pairStreamKernel(ctx, sys.LSEA(b, 0), volume, chunk, syncEvery)
-	})
-	return agg.run()
+	return runInstalled(sys, sys.InstallPairStream(a, sys.LSEA(b, 0), chunk, p.BytesPerSPE, syncEvery))
 }
 
 // SPEPairDistance measures the bandwidth between logical SPE 0 and every
@@ -113,21 +110,8 @@ func SPECouples(p Params, list bool) (*Result, error) {
 }
 
 func runCouples(p Params, run, nSPEs, chunk int, list bool) float64 {
-	sys := p.newSystem(run)
-	volume := p.BytesPerSPE
-	agg := newAggregate(sys)
-	for c := 0; c < nSPEs/2; c++ {
-		active, passive := 2*c, 2*c+1
-		peer := sys.LSEA(passive, 0)
-		agg.spawn(active, fmt.Sprintf("couple%d", c), 2*volume, func(ctx *spe.Context) {
-			if list {
-				pairListKernel(ctx, peer, volume, chunk)
-			} else {
-				pairStreamKernel(ctx, peer, volume, chunk, 0)
-			}
-		})
-	}
-	return agg.run()
+	return runScenario(p.newSystem(run), cell.Scenario{Kind: "couples", SPEs: nSPEs,
+		Chunk: chunk, Volume: p.BytesPerSPE, List: list})
 }
 
 // SPECycle reproduces Figures 15 and 16: a ring of 2, 4 or 8 SPEs in which
@@ -162,19 +146,6 @@ func SPECycle(p Params, list bool) (*Result, error) {
 }
 
 func runCycle(p Params, run, nSPEs, chunk int, list bool) float64 {
-	sys := p.newSystem(run)
-	volume := p.BytesPerSPE
-	agg := newAggregate(sys)
-	for i := 0; i < nSPEs; i++ {
-		neighbor := (i + 1) % nSPEs
-		peer := sys.LSEA(neighbor, 0)
-		agg.spawn(i, fmt.Sprintf("cycle%d", i), 2*volume, func(ctx *spe.Context) {
-			if list {
-				pairListKernel(ctx, peer, volume, chunk)
-			} else {
-				pairStreamKernel(ctx, peer, volume, chunk, 0)
-			}
-		})
-	}
-	return agg.run()
+	return runScenario(p.newSystem(run), cell.Scenario{Kind: "cycle", SPEs: nSPEs,
+		Chunk: chunk, Volume: p.BytesPerSPE, List: list})
 }
